@@ -2,9 +2,8 @@
 
 Each benchmark regenerates one table or figure of the paper's
 evaluation, prints the rows in the paper's layout, and writes them to
-``benchmarks/results/`` for the EXPERIMENTS.md paper-vs-measured
-comparison.  Sample counts scale with the ``REPRO_BENCH_SAMPLES``
-environment variable (default 8).
+``benchmarks/results/``.  Sample counts scale with the
+``REPRO_BENCH_SAMPLES`` environment variable (default 8).
 
 Every driver routes through the experiment engine's process-wide
 default instance (:func:`repro.engine.registry.default_engine`), so

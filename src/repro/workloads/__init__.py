@@ -19,7 +19,6 @@ from repro.workloads.scenarios import (  # noqa: E402  (needs datasets first)
     ScenarioSpec,
     canonical_scenario_name,
     is_scenario_name,
-    make_scenario_span,
     parse_scenario,
     scenario_digest,
     scenario_names,
@@ -50,7 +49,6 @@ __all__ = [
     "ScenarioSpec",
     "canonical_scenario_name",
     "is_scenario_name",
-    "make_scenario_span",
     "parse_scenario",
     "scenario_digest",
     "scenario_names",

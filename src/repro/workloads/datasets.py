@@ -18,6 +18,8 @@ that distinguishes it in the paper:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +177,26 @@ def make_sample(
     )
 
 
+SAMPLE_CACHE_MAX_ENTRIES = 16
+"""LRU bound on memoized samples (per process).  One ``all --samples
+1`` pass touches 13 distinct samples, so 16 keeps every one of them
+resident while a long-lived serve process stays at a few MB; an
+evicted sample re-rendered later is bit-identical — eviction only
+costs time."""
+
+_SampleKey = tuple[str, SubspaceLayout, int, int, int]
+_samples: OrderedDict[_SampleKey, Sample] = OrderedDict()
+_samples_lock = threading.Lock()
+
+
+def _freeze(sample: Sample) -> Sample:
+    """Mark a sample's arrays read-only before it is shared."""
+    for array in (sample.visual_tokens, sample.text_tokens,
+                  sample.positions):
+        array.flags.writeable = False
+    return sample
+
+
 def make_dataset_span(
     name: str,
     layout: SubspaceLayout,
@@ -194,8 +216,18 @@ def make_dataset_span(
     shards rest on this: a span evaluated in isolation sees exactly the
     items the serial whole-cell loop would have fed it.
 
+    The same property makes samples safe to share, so each one is
+    rendered once per process: samples are memoized per
+    ``(canonical name, layout, seed, vocab_seed, index)`` in an LRU of
+    :data:`SAMPLE_CACHE_MAX_ENTRIES` entries, and only the missing
+    indices of a span are generated.  Every method, INT8 arm and sweep
+    point of a cell then evaluates the same objects; their arrays are
+    read-only, so a consumer writing into one raises instead of
+    corrupting the next evaluation.
+
     Args:
-        name: One of the keys of :data:`ALL_PROFILES`.
+        name: One of the keys of :data:`ALL_PROFILES`, or a scenario
+            spec (any spelling; see :mod:`repro.workloads.scenarios`).
         layout: Hidden-dimension layout of the consuming model (the
             same logical dataset is re-embedded per model, just as the
             real benchmarks are re-tokenized per VLM).
@@ -212,18 +244,43 @@ def make_dataset_span(
     # Lazy: scenarios import this module, so the dispatch can't be a
     # top-level import.  Scenario names carry a family prefix
     # ("mtconv:...") that no base profile uses.
-    from repro.workloads.scenarios import is_scenario_name, make_scenario_span
+    from repro.workloads.scenarios import (
+        SCENARIO_FAMILIES,
+        is_scenario_name,
+        parse_scenario,
+    )
 
     if is_scenario_name(name):
-        return make_scenario_span(
-            name, layout, start, stop, seed=seed, vocab_seed=vocab_seed
-        )
-    profile = get_profile(name)
-    codebooks = Codebooks(layout, seed=vocab_seed)
-    return [
-        make_sample(profile, codebooks, seed, index)
-        for index in range(start, stop)
-    ]
+        spec = parse_scenario(name)
+        family = SCENARIO_FAMILIES[spec.family]
+        name = spec.name
+
+        def generate(codebooks: Codebooks, index: int) -> Sample:
+            return family.generate(spec, codebooks, seed, index)
+    else:
+        profile = get_profile(name)
+
+        def generate(codebooks: Codebooks, index: int) -> Sample:
+            return make_sample(profile, codebooks, seed, index)
+
+    # Rendered under the lock, as ModelCache builds models: concurrent
+    # runs asking for the same sample then render it once, not twice.
+    samples = []
+    codebooks = None
+    with _samples_lock:
+        for index in range(start, stop):
+            key = (name, layout, seed, vocab_seed, index)
+            sample = _samples.get(key)
+            if sample is None:
+                if codebooks is None:
+                    codebooks = Codebooks(layout, seed=vocab_seed)
+                sample = _samples[key] = _freeze(generate(codebooks, index))
+                while len(_samples) > SAMPLE_CACHE_MAX_ENTRIES:
+                    _samples.popitem(last=False)
+            else:
+                _samples.move_to_end(key)
+            samples.append(sample)
+    return samples
 
 
 def make_dataset(

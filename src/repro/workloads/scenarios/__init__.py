@@ -14,7 +14,6 @@ from repro.workloads.scenarios.spec import (
     ScenarioSpec,
     canonical_scenario_name,
     is_scenario_name,
-    make_scenario_span,
     parse_scenario,
     register_family,
     scenario_digest,
@@ -32,7 +31,6 @@ __all__ = [
     "ScenarioSpec",
     "canonical_scenario_name",
     "is_scenario_name",
-    "make_scenario_span",
     "parse_scenario",
     "register_family",
     "scenario_digest",

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.model.embedding import Codebooks, SubspaceLayout
+from repro.model.embedding import Codebooks
 from repro.workloads.datasets import Sample
 
 ParamValue = int | float | str
@@ -201,34 +201,3 @@ def canonical_scenario_name(text: str) -> str:
 def scenario_digest(text: str) -> str:
     """Content address of any spelling of a scenario spec."""
     return parse_scenario(text).digest
-
-
-def make_scenario_span(
-    name: str,
-    layout: SubspaceLayout,
-    start: int,
-    stop: int,
-    seed: int = 0,
-    vocab_seed: int = 0,
-) -> list[Sample]:
-    """Generate items ``start .. stop`` of a scenario.
-
-    The prefix-stability contract of
-    :func:`repro.workloads.datasets.make_dataset_span` holds verbatim:
-    sample ``i`` depends only on ``(seed, canonical name, i)``, so a
-    span evaluated in isolation sees exactly the items the serial
-    whole-cell loop would have fed it.  ``seed`` is the experiment
-    seed; the spec's own ``seed=`` param varies the scenario
-    population independently and is part of the content address.
-    """
-    if start < 0 or stop < start:
-        raise ValueError(
-            f"invalid sample span [{start}, {stop}): need 0 <= start <= stop"
-        )
-    spec = parse_scenario(name)
-    family = SCENARIO_FAMILIES[spec.family]
-    codebooks = Codebooks(layout, seed=vocab_seed)
-    return [
-        family.generate(spec, codebooks, seed, index)
-        for index in range(start, stop)
-    ]

@@ -9,10 +9,10 @@ assumes).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.model.embedding import Codebooks, SubspaceLayout, positional_code
 from repro.utils.rng import rng_for
@@ -69,6 +69,16 @@ class RenderParams:
     cosine, which distorts the Fig. 2(b) granularity statistics."""
 
 
+def _import_scipy() -> None:
+    from scipy import ndimage  # noqa: F401
+
+
+# scipy is imported lazily (it is about half of ``import repro.cli``),
+# but a process about to fork loads it first: worker-pool children then
+# inherit it instead of each importing it again on their first render.
+os.register_at_fork(before=_import_scipy)
+
+
 def _background_texture(
     scene: Scene, dim: int, smoothness: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -78,6 +88,8 @@ def _background_texture(
     redundancy); reusing the same field across frames makes co-located
     patches nearly identical (inter-frame redundancy).
     """
+    from scipy import ndimage
+
     field = rng.standard_normal(
         (scene.grid_height, scene.grid_width, dim)
     ).astype(np.float32)

@@ -1,9 +1,37 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main, run_experiment
 from repro.engine.registry import experiment_names
+
+
+def test_scipy_loads_on_render_or_fork_not_on_import():
+    # Only rendering needs scipy: importing it with the CLI would double
+    # every command's start-up, and importing it per forked pool worker
+    # would cost each worker the import time and memory again.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    script = (
+        "import os, sys, repro.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["False", "True"], out.stderr
 
 
 class TestParser:

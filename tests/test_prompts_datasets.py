@@ -1,17 +1,25 @@
 """Tests for repro.workloads.prompts and repro.workloads.datasets."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.model.embedding import QUESTION_SLOTS
+from repro.eval.runner import evaluate_span
+from repro.model.embedding import QUESTION_SLOTS, Codebooks
+from repro.workloads import datasets
 from repro.workloads.datasets import (
     ALL_PROFILES,
     IMAGE_PROFILES,
+    SAMPLE_CACHE_MAX_ENTRIES,
     VIDEO_PROFILES,
     get_profile,
     make_dataset,
+    make_dataset_span,
     make_sample,
 )
+from repro.workloads.scenarios import SCENARIO_FAMILIES, parse_scenario
 from repro.workloads.prompts import encode_text, question_for, random_question
 from repro.workloads.scene import random_scene
 
@@ -107,3 +115,118 @@ class TestDatasets:
         for sample in tiny_samples:
             names = sample.codebooks.slot_names(sample.question.slot)
             assert 0 <= sample.question.answer_index < len(names)
+
+
+def fresh_sample(name, layout, seed, index):
+    """Generate one sample without going through the memo."""
+    codebooks = Codebooks(layout, seed=0)
+    if name in ALL_PROFILES:
+        return make_sample(get_profile(name), codebooks, seed, index)
+    spec = parse_scenario(name)
+    return SCENARIO_FAMILIES[spec.family].generate(spec, codebooks, seed,
+                                                   index)
+
+
+def assert_same_sample(a, b):
+    assert a.visual_tokens.tobytes() == b.visual_tokens.tobytes()
+    assert a.text_tokens.tobytes() == b.text_tokens.tobytes()
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.scene == b.scene
+    assert a.question == b.question
+
+
+class TestSampleMemo:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        name=st.sampled_from(
+            ["videomme", "vqav2", "mtconv:turns=2,history=3",
+             "mtconv:profile=vqav2,turns=3"]
+        ),
+        seed=st.integers(0, 3),
+        cuts=st.lists(st.integers(1, 5), max_size=3),
+    )
+    def test_memoized_samples_match_fresh_generation(
+        self, tiny_layout, name, seed, cuts
+    ):
+        bounds = [0, *sorted(set(cuts)), 6]
+        spans = [
+            make_dataset_span(name, tiny_layout, start, stop, seed=seed)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        partitioned = [sample for span in spans for sample in span]
+        whole = make_dataset_span(name, tiny_layout, 0, 6, seed=seed)
+        assert len(partitioned) == len(whole) == 6
+        for index, (part, full) in enumerate(zip(partitioned, whole)):
+            fresh = fresh_sample(name, tiny_layout, seed, index)
+            assert_same_sample(part, fresh)
+            assert_same_sample(full, fresh)
+
+    def test_spelling_variants_share_entries(self, tiny_layout):
+        a, = make_dataset_span("mtconv:turns=2,history=3", tiny_layout,
+                               0, 1, seed=41)
+        b, = make_dataset_span("mtconv:history=3,turns=2,seed=0",
+                               tiny_layout, 0, 1, seed=41)
+        assert a is b
+
+    def test_returned_arrays_are_read_only(self, tiny_layout):
+        sample, = make_dataset_span("videomme", tiny_layout, 0, 1, seed=42)
+        for array in (sample.visual_tokens, sample.text_tokens,
+                      sample.positions):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(ValueError):
+            sample.visual_tokens += 1.0
+
+    def test_memo_never_exceeds_its_bound(self, tiny_layout):
+        total = 2 * SAMPLE_CACHE_MAX_ENTRIES + 3
+        samples = make_dataset_span("vqav2", tiny_layout, 0, total, seed=43)
+        assert len(samples) == total
+        assert len(datasets._samples) <= SAMPLE_CACHE_MAX_ENTRIES
+        for index in range(0, total, 5):
+            make_dataset_span("mme", tiny_layout, index, index + 5, seed=43)
+            assert len(datasets._samples) <= SAMPLE_CACHE_MAX_ENTRIES
+        # An evicted sample is rendered again, bit-identically.
+        again, = make_dataset_span("vqav2", tiny_layout, 0, 1, seed=43)
+        assert again is not samples[0]
+        assert_same_sample(again, samples[0])
+
+    def test_concurrent_threads_get_identical_samples(self, tiny_layout,
+                                                      monkeypatch):
+        calls = []
+        real = datasets.make_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "make_sample", counting)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(slot):
+            barrier.wait()
+            results[slot] = make_dataset_span("mvbench", tiny_layout, 0, 3,
+                                              seed=44)
+
+        threads = [threading.Thread(target=worker, args=(slot,))
+                   for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(calls) == [0, 1, 2]
+        for result in results[1:]:
+            assert [id(s) for s in result] == [id(s) for s in results[0]]
+
+    def test_methods_of_one_cell_render_the_sample_once(self, monkeypatch):
+        calls = []
+        real = datasets.make_sample
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "make_sample", counting)
+        for method in ("dense", "cmc", "focus"):
+            evaluate_span("minicpm", "vqav2", method, (0, 1), seed=45)
+        assert calls == [0]
