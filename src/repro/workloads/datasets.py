@@ -189,6 +189,17 @@ _samples: OrderedDict[_SampleKey, Sample] = OrderedDict()
 _samples_lock = threading.Lock()
 
 
+def clear_sample_memo() -> None:
+    """Drop every memoized sample, as a freshly started process has none.
+
+    The next :func:`make_dataset_span` call renders its samples anew;
+    tests use this to compare a span against independent generation
+    rather than against the objects an earlier call left in the memo.
+    """
+    with _samples_lock:
+        _samples.clear()
+
+
 def _freeze(sample: Sample) -> Sample:
     """Mark a sample's arrays read-only before it is shared."""
     for array in (sample.visual_tokens, sample.text_tokens,

@@ -9,7 +9,11 @@ from repro.config import FocusConfig
 from repro.model.embedding import Codebooks, SubspaceLayout
 from repro.model.spec import ModelConfig
 from repro.model.vlm import SyntheticVLM
-from repro.workloads.datasets import DatasetProfile, make_sample
+from repro.workloads.datasets import (
+    DatasetProfile,
+    clear_sample_memo,
+    make_sample,
+)
 from repro.workloads.video import RenderParams
 
 
@@ -20,6 +24,17 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: end-to-end test that takes seconds, not ms"
     )
+
+
+@pytest.fixture(autouse=True)
+def empty_sample_memo():
+    """Start every test with an empty sample memo.
+
+    The memo is process-global; without this a sample rendered by one
+    test would be served to the next, so a test's render counts and
+    monkeypatched generators would depend on test order.
+    """
+    clear_sample_memo()
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from repro.workloads.datasets import (
     IMAGE_PROFILES,
     SAMPLE_CACHE_MAX_ENTRIES,
     VIDEO_PROFILES,
+    clear_sample_memo,
     get_profile,
     make_dataset,
     make_dataset_span,
@@ -90,7 +91,9 @@ class TestDatasets:
 
     def test_make_dataset_deterministic(self, tiny_layout):
         a = make_dataset("videomme", tiny_layout, 2, seed=0)
+        clear_sample_memo()
         b = make_dataset("videomme", tiny_layout, 2, seed=0)
+        assert a[0] is not b[0]
         np.testing.assert_array_equal(a[0].visual_tokens, b[0].visual_tokens)
         assert a[0].question == b[0].question
 
@@ -136,11 +139,12 @@ def assert_same_sample(a, b):
 
 
 class TestSampleMemo:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=18, deadline=None)
     @given(
         name=st.sampled_from(
             ["videomme", "vqav2", "mtconv:turns=2,history=3",
-             "mtconv:profile=vqav2,turns=3"]
+             "mtconv:profile=vqav2,turns=3", "stream:frames=4,churn=0.5",
+             "tenantmix:tenants=3,burst=2"]
         ),
         seed=st.integers(0, 3),
         cuts=st.lists(st.integers(1, 5), max_size=3),
@@ -148,6 +152,7 @@ class TestSampleMemo:
     def test_memoized_samples_match_fresh_generation(
         self, tiny_layout, name, seed, cuts
     ):
+        clear_sample_memo()
         bounds = [0, *sorted(set(cuts)), 6]
         spans = [
             make_dataset_span(name, tiny_layout, start, stop, seed=seed)

@@ -26,14 +26,21 @@ from repro.workloads import (
     parse_scenario,
     scenario_names,
 )
+from repro.workloads.datasets import clear_sample_memo
 
 FAMILIES = ("mtconv", "stream", "tenantmix")
 
 
 def assert_sample_prefix(shorter: list[Sample], longer: list[Sample]):
-    """Every sample of ``shorter`` is byte-identical in ``longer``."""
+    """Every sample of ``shorter`` is byte-identical in ``longer``.
+
+    The two lists must come from independent renders (clear the sample
+    memo between them): comparing a memoized sample with itself would
+    prove nothing.
+    """
     assert len(shorter) <= len(longer)
     for i, (a, b) in enumerate(zip(shorter, longer)):
+        assert a is not b, i
         assert a.visual_tokens.tobytes() == b.visual_tokens.tobytes(), i
         assert a.text_tokens.tobytes() == b.text_tokens.tobytes(), i
         assert a.positions.tobytes() == b.positions.tobytes(), i
@@ -133,6 +140,9 @@ class TestPrefixStability:
         self, tiny_layout, spec, seed, n, extra
     ):
         short = make_dataset_span(spec, tiny_layout, 0, n, seed=seed)
+        # A fresh memo stands in for another process (an eval shard or
+        # pool worker) rendering the longer span on its own.
+        clear_sample_memo()
         long = make_dataset_span(spec, tiny_layout, 0, n + extra,
                                  seed=seed)
         assert_sample_prefix(short, long)
@@ -140,6 +150,7 @@ class TestPrefixStability:
     def test_mid_span_matches_full_generation(self, tiny_layout):
         for spec in ("mtconv:turns=2", "stream:frames=4", "tenantmix"):
             full = make_dataset_span(spec, tiny_layout, 0, 6)
+            clear_sample_memo()
             mid = make_dataset_span(spec, tiny_layout, 2, 5)
             assert_sample_prefix(mid, full[2:5])
 
