@@ -31,8 +31,11 @@ Flags:
     cells are prefix-stable: growing ``--samples`` re-executes only
     the suffix, exactly like the base datasets.
 ``--workers N``
-    Process-pool size.  Results are bit-identical for any ``N``; only
-    wall-clock changes.
+    Process-pool size (default: the CPUs this process may run on,
+    at most :data:`AUTO_WORKERS_MAX`; an explicit ``N`` is never
+    capped).  Pool workers run one BLAS thread each; ``--workers 1``
+    executes in-process under the environment's BLAS threading.
+    Results are bit-identical for any ``N``; only wall-clock changes.
 ``--sim-shards N``
     Split each trace-simulation batch into ``N`` sharded ``sim`` jobs
     (default: one per worker).  Sharded simulation is bit-identical to
@@ -65,8 +68,9 @@ Flags:
     Base backoff before a job's second attempt (default: 0.05);
     doubles per retry, capped at 5s.
 ``--job-timeout SECONDS``
-    Per-job wall-clock budget, enforced on the worker pool (needs
-    ``--workers`` >= 2): a hung job's worker is reclaimed, innocent
+    Per-job wall-clock budget, enforced on the worker pool (the
+    default on a multi-core host; ``--workers 1`` runs in-process and
+    disables enforcement): a hung job's worker is reclaimed, innocent
     in-flight jobs are re-dispatched without penalty, and the job
     retries or fails per ``--retries``.
 ``--on-error {raise,collect}``
@@ -151,6 +155,7 @@ Flags:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -171,6 +176,20 @@ from repro.eval import reporting as rep  # noqa: F401  (attaches formatters)
 
 EXIT_PARTIAL = 3
 """Exit status of an ``--on-error collect`` run that lost experiments."""
+
+AUTO_WORKERS_MAX = 8
+"""Cap on the default ``--workers``.  Each worker holds its own models
+and samples (~190 MB), so a large host should not fork one per CPU."""
+
+
+def auto_workers() -> int:
+    """Default ``--workers``: the usable CPUs, capped at
+    :data:`AUTO_WORKERS_MAX`; 1 (the in-process path) on one CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, AUTO_WORKERS_MAX)
 
 
 def positive_int(text: str) -> int:
@@ -287,8 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
              "shares one content-addressed cache entry)",
     )
     parser.add_argument(
-        "--workers", type=positive_int, default=1,
-        help="worker processes (results are identical for any count)",
+        "--workers", type=positive_int, default=auto_workers(),
+        help="worker processes, one BLAS thread each (default: usable "
+             f"CPUs, at most {AUTO_WORKERS_MAX}; 1 runs in-process; "
+             "results are identical for any count)",
     )
     parser.add_argument(
         "--sim-shards", type=positive_int, default=None,
@@ -326,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--job-timeout", type=positive_float, default=None,
         metavar="SECONDS",
-        help="per-job wall-clock budget (pool mode only): a hung "
-             "job's worker is reclaimed and the job retries or fails "
-             "per --retries",
+        help="per-job wall-clock budget, enforced on the worker pool "
+             "(--workers 1 disables it): a hung job's worker is "
+             "reclaimed and the job retries or fails per --retries",
     )
     parser.add_argument(
         "--on-error", choices=("raise", "collect"), default="raise",
@@ -430,7 +451,8 @@ def make_engine(
 
     ``retries`` extra attempts per failed job (``max_attempts =
     retries + 1``) backing off from ``retry_backoff`` seconds, and
-    ``job_timeout`` caps each job's wall clock (pool mode).
+    ``job_timeout`` caps each job's wall clock (enforced on the pool,
+    so not at ``workers=1``).
 
     ``remote_cache`` is a cache-server base URL wired in as the
     third lookup tier, and ``peers`` a list of ``repro serve`` base

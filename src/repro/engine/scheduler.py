@@ -53,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.engine.blas import pin_worker
 from repro.engine.cache import MISS, ResultCache
 from repro.engine.faults import (
     DEFAULT_RETRY_POLICY,
@@ -239,7 +240,9 @@ class ExperimentEngine:
 
     Args:
         workers: Process-pool size; ``1`` executes in-process (still
-            through the cache).
+            through the cache) under the environment's BLAS threading,
+            while every pool worker runs one BLAS thread
+            (:func:`repro.engine.blas.pin_worker`).
         cache: Result cache; defaults to a fresh memory-only cache.
         progress: Optional streaming callback invoked from the
             scheduling process as jobs hit the cache, start, and
@@ -550,7 +553,9 @@ class ExperimentEngine:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=pin_worker
+                )
             return self._pool
 
     def _respawn_pool(self) -> ProcessPoolExecutor | None:

@@ -821,21 +821,6 @@ async def serve(
         await app.shutdown()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for flags that must be >= 1 (e.g. ``--ring-size``:
-    a 0-capacity ring would evict every event and leave subscribers
-    nothing but gaps — reject it before a server ever starts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli serve",
@@ -848,18 +833,20 @@ def build_parser() -> argparse.ArgumentParser:
         nonnegative_int,
         peer_list,
         positive_float,
+        positive_int,
     )
 
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"TCP port (default: {DEFAULT_PORT})")
-    parser.add_argument("--workers", type=_positive_int, default=1,
+    parser.add_argument("--workers", type=positive_int, default=1,
                         help="engine worker processes shared by all runs "
-                             "(>= 1)")
-    parser.add_argument("--sim-shards", type=_positive_int, default=None,
+                             "(default: 1, in-process; pool workers run "
+                             "one BLAS thread each)")
+    parser.add_argument("--sim-shards", type=positive_int, default=None,
                         help="shards per trace-simulation batch (>= 1)")
-    parser.add_argument("--eval-shards", type=_positive_int, default=None,
+    parser.add_argument("--eval-shards", type=positive_int, default=None,
                         help="samples per evaluation shard (streams "
                              "running partial results; >= 1)")
     parser.add_argument("--retries", type=nonnegative_int, default=0,
@@ -872,7 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--job-timeout", type=positive_float,
                         default=None, metavar="SECONDS",
                         help="per-job wall-clock budget on the worker "
-                             "pool; hung jobs are reclaimed and retried")
+                             "pool (needs --workers >= 2); hung jobs are "
+                             "reclaimed and retried")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache shared by all runs")
     parser.add_argument("--cache-max-mb", type=float, default=None,
@@ -889,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated repro-serve peer base "
                              "URLs to dispatch job shares to "
                              "(rendezvous-hashed by job id)")
-    parser.add_argument("--ring-size", type=_positive_int,
+    parser.add_argument("--ring-size", type=positive_int,
                         default=DEFAULT_RING_SIZE,
                         help="events retained per run in memory for "
                              "replay/resume (>= 1); the run store "

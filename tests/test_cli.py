@@ -8,7 +8,13 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main, run_experiment
+from repro.cli import (
+    AUTO_WORKERS_MAX,
+    auto_workers,
+    build_parser,
+    main,
+    run_experiment,
+)
 from repro.engine.registry import experiment_names
 
 
@@ -46,9 +52,24 @@ class TestParser:
         assert args.experiments == ["table2", "fig11"]
         assert args.samples == 3
         assert args.seed == 7
-        assert args.workers == 1
+        assert args.workers == auto_workers()
         assert args.cache_dir is None
         assert not args.no_cache
+
+    @pytest.mark.parametrize("cpus, expected", [
+        (1, 1), (2, 2), (64, AUTO_WORKERS_MAX),
+    ])
+    def test_default_workers_follow_usable_cpus(
+        self, monkeypatch, cpus, expected
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert auto_workers() == expected
+        assert build_parser().parse_args(["fig9"]).workers == expected
+        # An explicit count is taken as given, never capped.
+        assert build_parser().parse_args(
+            ["fig9", "--workers", "64"]
+        ).workers == 64
 
     def test_parses_engine_options(self):
         args = build_parser().parse_args(
@@ -219,6 +240,29 @@ class TestMain:
         last = json.loads(jsonl.read_text().splitlines()[-1])
         assert last["event"] == "run-partial"
         assert "table3" in last["failures"]
+
+    @pytest.mark.slow
+    def test_default_pool_matches_serial_digests(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import json
+
+        # Two usable CPUs: the default resolves to a two-worker pool.
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        digests = {}
+        for label, extra, workers in (
+            ("default", [], 2), ("serial", ["--workers", "1"], 1),
+        ):
+            jsonl = tmp_path / f"{label}.jsonl"
+            assert main(["fig13", "table2", "--samples", "1", "--no-cache",
+                         "--progress-jsonl", str(jsonl), *extra]) == 0
+            out = capsys.readouterr().out.rstrip()
+            assert out.endswith(f"workers={workers}]")
+            done = json.loads(jsonl.read_text().splitlines()[-1])
+            assert done["event"] == "run-done"
+            digests[label] = done["reports"]
+        assert digests["default"] == digests["serial"]
 
     @pytest.mark.slow
     def test_warm_cache_run_executes_nothing(self, capsys, tmp_path):
