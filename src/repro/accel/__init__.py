@@ -23,16 +23,10 @@ from repro.accel.buffers import (
 from repro.accel.dram import DramModel
 from repro.accel.energy import EnergyBreakdown
 from repro.accel.focus_unit import FocusUnitActivity, focus_unit_activity
-from repro.accel.sim_jobs import (
-    make_sim_jobs,
-    simulate_many_sharded,
-    traces_digest,
-)
 from repro.accel.simulator import (
     SimResult,
     canonical_dram,
     dram_config,
-    plan_shards,
     simulate,
     simulate_many,
 )
@@ -71,12 +65,8 @@ __all__ = [
     "SimResult",
     "canonical_dram",
     "dram_config",
-    "make_sim_jobs",
-    "plan_shards",
     "simulate",
     "simulate_many",
-    "simulate_many_sharded",
-    "traces_digest",
     "concentrated_gemm_cycles",
     "dense_gemm_cycles",
     "gemm_utilization",

@@ -24,14 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
 
 from repro.accel.arch import ArchConfig
 from repro.accel.dram import DramModel
-from repro.engine.sharding import plan_shards  # noqa: F401  (re-export)
-
-if TYPE_CHECKING:
-    from repro.engine.scheduler import ExperimentEngine
 from repro.accel.energy import (
     E_MAC_FP16_PJ,
     E_SFU_OP_PJ,
@@ -116,60 +111,25 @@ class SimResult:
         )
         self.samples += other.samples
 
-    @staticmethod
-    def merge(
-        results: Sequence["SimResult"], arch: str | None = None
-    ) -> "SimResult":
-        """Fold a sequence of results into one (associative reduce).
-
-        Folding starts from a zero-valued identity and accumulates each
-        result in sequence order, so merging per-trace results in trace
-        order reproduces the serial :func:`simulate_many` fold bit for
-        bit (``0.0 + x == x`` exactly in IEEE arithmetic).  Integer
-        fields merge exactly under any grouping; the float energy terms
-        are associative only up to rounding, which is why the sharded
-        path always re-folds *per-trace* results in global order rather
-        than merging per-shard partial sums.
-
-        Args:
-            results: Results to fold; all must share one architecture.
-            arch: Architecture name for the empty-sequence identity
-                (required when ``results`` is empty, ignored otherwise
-                except as a consistency check).
-        """
-        results = list(results)
-        if not results:
-            if arch is None:
-                raise ValueError(
-                    "merging zero results needs an explicit arch for "
-                    "the identity element"
-                )
-            return SimResult(arch=arch)
-        total = SimResult(arch=arch if arch is not None else results[0].arch)
-        for result in results:
-            total.accumulate(result)
-        return total
-
 
 def dram_config(dram: DramModel) -> tuple[tuple[str, float], ...]:
     """A :class:`DramModel`'s constructor arguments as sorted pairs.
 
-    This is the canonical wire/cache form of a DRAM configuration: sim
-    shards rebuild their own :class:`DramModel` from it, so a shared
-    instance that was mutated in place (``object.__setattr__`` defeats
-    ``frozen=True``) or is otherwise stateful can never make sharded
-    and serial runs drift apart.
+    This is the canonical form of a DRAM configuration: rebuilding the
+    model from it means an instance that was mutated in place
+    (``object.__setattr__`` defeats ``frozen=True``) is simulated with
+    the field values it reports, never with stale derived state.
 
     Raises:
         TypeError: If ``dram`` is not exactly a :class:`DramModel` — a
-            subclass may override behaviour that a worker-side rebuild
-            from plain field values would silently discard.
+            subclass may override behaviour that a rebuild from plain
+            field values would silently discard.
     """
     if type(dram) is not DramModel:
         raise TypeError(
             f"expected a plain DramModel, got {type(dram).__name__}; "
-            "sharded workers rebuild the DRAM model from its field "
-            "values, so subclasses cannot be simulated faithfully"
+            "the DRAM model is rebuilt from its field values, so "
+            "subclasses cannot be simulated faithfully"
         )
     return tuple(sorted(
         (f.name, getattr(dram, f.name))
@@ -182,9 +142,8 @@ def canonical_dram(dram: DramModel | None, arch: ArchConfig) -> DramModel:
 
     ``None`` derives the bandwidth from the architecture (the historical
     default); anything else is round-tripped through
-    :func:`dram_config`, so every simulation path — serial or sharded,
-    parent or worker process — runs on an instance constructed the same
-    way from the same field values.
+    :func:`dram_config`, so every simulation runs on an instance
+    constructed the same way from the same field values.
     """
     if dram is None:
         dram = DramModel(bandwidth_gbs=arch.dram_bandwidth_gbs)
@@ -326,34 +285,15 @@ def simulate(trace: ModelTrace, arch: ArchConfig,
 def simulate_many(
     traces: list[ModelTrace], arch: ArchConfig,
     dram: DramModel | None = None,
-    *,
-    engine: "ExperimentEngine | None" = None,
-    shard_size: int | None = None,
 ) -> SimResult:
     """Simulate a list of per-sample traces and fold the results.
 
     Args:
-        traces: Per-sample traces.
+        traces: Per-sample traces, folded in order.
         arch: Architecture to simulate.
-        dram: DRAM model; normalized through :func:`canonical_dram` so
-            serial and sharded execution see identical instances.
-        engine: Optional experiment engine.  When given, the traces are
-            split into per-shard ``sim`` jobs (see
-            :mod:`repro.accel.sim_jobs`) that dedupe, cache, and run on
-            the engine's worker pool; the per-trace results are then
-            re-folded in trace order, making the output bit-identical
-            to the serial path for every worker count and shard size.
-        shard_size: Traces per shard on the engine path; defaults to
-            one shard per engine worker (or ``engine.sim_shards``
-            shards when set).
+        dram: DRAM model; normalized through :func:`canonical_dram`.
     """
     dram = canonical_dram(dram, arch)
-    if engine is not None and traces:
-        from repro.accel.sim_jobs import simulate_many_sharded
-
-        return simulate_many_sharded(
-            traces, arch, dram, engine, shard_size=shard_size
-        )
     if not traces:
         return SimResult(arch=arch.name)
     total = simulate(traces[0], arch, dram)

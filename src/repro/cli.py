@@ -36,10 +36,6 @@ Flags:
     capped).  Pool workers run one BLAS thread each; ``--workers 1``
     executes in-process under the environment's BLAS threading.
     Results are bit-identical for any ``N``; only wall-clock changes.
-``--sim-shards N``
-    Split each trace-simulation batch into ``N`` sharded ``sim`` jobs
-    (default: one per worker).  Sharded simulation is bit-identical to
-    serial for any shard count.
 ``--eval-shards N``
     Evaluate each (model, dataset, method) cell in spans of ``N``
     samples, scheduled as individual ``eval-shard`` jobs (default:
@@ -118,9 +114,9 @@ Flags:
     event writes through to a durable SQLite run store (default
     ``repro-runs.sqlite``; disable with ``--no-store``), so resume is
     lossless past ring eviction and across restarts.  Serve flags:
-    ``--host/--port/--workers/--sim-shards/--eval-shards/--cache-dir/
-    --cache-max-mb/--no-cache/--retries/--retry-backoff/--job-timeout/
-    --ring-size/--store-path/--no-store``.
+    ``--host/--port/--workers/--eval-shards/--cache-dir/--cache-max-mb/
+    --no-cache/--retries/--retry-backoff/--job-timeout/--ring-size/
+    --store-path/--no-store``.
 
 ``replay`` subcommand
     ``python -m repro.cli replay <run-id>`` re-streams a stored run
@@ -312,11 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
              "results are identical for any count)",
     )
     parser.add_argument(
-        "--sim-shards", type=positive_int, default=None,
-        help="shards per trace-simulation batch (default: one per "
-             "worker; results are identical for any count)",
-    )
-    parser.add_argument(
         "--eval-shards", type=positive_int, default=None,
         help="samples per evaluation shard (default: whole cells; "
              "results are identical for any span size)",
@@ -432,7 +423,6 @@ def make_engine(
     cache_dir: str | None = None,
     no_cache: bool = False,
     progress: bool = False,
-    sim_shards: int | None = None,
     cache_max_mb: float | None = None,
     eval_shards: int | None = None,
     progress_jsonl=None,
@@ -496,7 +486,6 @@ def make_engine(
         workers=workers,
         cache=cache,
         progress=callback,
-        sim_shards=sim_shards,
         eval_shards=eval_shards,
         retry_policy=retry_policy,
         job_timeout_s=job_timeout,
@@ -650,7 +639,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         progress=args.progress,
-        sim_shards=args.sim_shards,
         cache_max_mb=args.cache_max_mb,
         eval_shards=args.eval_shards,
         progress_jsonl=jsonl_stream,
@@ -714,12 +702,8 @@ def main(argv: list[str] | None = None) -> int:
         print()
     stats = engine.stats
     cache = engine.cache.stats
-    shard_notes = []
-    for kind, label in (("sim", "sim shards"), ("eval-shard", "eval shards")):
-        executed = stats.executed_by_kind.get(kind, 0)
-        if executed:
-            shard_notes.append(f"{executed} {label}")
-    shard_note = f" ({', '.join(shard_notes)})" if shard_notes else ""
+    eval_shards = stats.executed_by_kind.get("eval-shard", 0)
+    shard_note = f" ({eval_shards} eval shards)" if eval_shards else ""
     fault_notes = []
     for field, label in (
         ("retries", "retries"), ("timeouts", "timeouts"),

@@ -37,7 +37,7 @@ then counts as a miss rather than resurrecting an evicted entry.
 total (``hits_by_kind`` / ``misses_by_kind``), so sharded traffic is
 separable — e.g. a grown ``--samples`` re-run reports its prefix-reuse
 rate as the ``eval-shard`` hit fraction, which the totals alone can't
-distinguish from ``sim``-shard or whole-cell lookups.
+distinguish from whole-cell lookups.
 
 All public operations take an internal lock, so one cache may back
 several engine threads at once (the async serving layer runs
@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.engine.counters import Counters
 from repro.engine.jobs import EvalJob
 
 MISS = object()
@@ -63,14 +64,14 @@ legitimately be falsy)."""
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss counters, cumulative over the cache's lifetime.
 
     Besides the totals, lookups are counted per job *kind*
     (``hits_by_kind`` / ``misses_by_kind``): a sharded-eval re-run with
     a larger ``--samples`` reports its prefix-reuse rate as the
     ``eval-shard`` hit fraction, which the totals alone can't separate
-    from sim-shard or whole-cell traffic.
+    from whole-cell traffic.
     """
 
     hits: int = 0
@@ -114,73 +115,7 @@ class CacheStats:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "remote_hits": self.remote_hits,
-            "stores": self.stores,
-            "remote_stores": self.remote_stores,
-            "remote_errors": self.remote_errors,
-            "remote_verify_failures": self.remote_verify_failures,
-            "disk_evictions": self.disk_evictions,
-            "hit_rate": self.hit_rate,
-            "hits_by_kind": dict(self.hits_by_kind),
-            "misses_by_kind": dict(self.misses_by_kind),
-        }
-
-    def snapshot(self) -> "CacheStats":
-        """An independent copy (pair with :meth:`delta` to scope the
-        cumulative counters to one run)."""
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            memory_hits=self.memory_hits,
-            disk_hits=self.disk_hits,
-            remote_hits=self.remote_hits,
-            stores=self.stores,
-            remote_stores=self.remote_stores,
-            remote_errors=self.remote_errors,
-            remote_verify_failures=self.remote_verify_failures,
-            disk_evictions=self.disk_evictions,
-            hits_by_kind=dict(self.hits_by_kind),
-            misses_by_kind=dict(self.misses_by_kind),
-        )
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since an earlier snapshot."""
-
-        def by_kind_delta(
-            now: dict[str, int], then: dict[str, int]
-        ) -> dict[str, int]:
-            return {
-                kind: count - then.get(kind, 0)
-                for kind, count in now.items()
-                if count - then.get(kind, 0)
-            }
-
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            memory_hits=self.memory_hits - earlier.memory_hits,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            remote_hits=self.remote_hits - earlier.remote_hits,
-            stores=self.stores - earlier.stores,
-            remote_stores=self.remote_stores - earlier.remote_stores,
-            remote_errors=self.remote_errors - earlier.remote_errors,
-            remote_verify_failures=(
-                self.remote_verify_failures
-                - earlier.remote_verify_failures
-            ),
-            disk_evictions=self.disk_evictions - earlier.disk_evictions,
-            hits_by_kind=by_kind_delta(
-                self.hits_by_kind, earlier.hits_by_kind
-            ),
-            misses_by_kind=by_kind_delta(
-                self.misses_by_kind, earlier.misses_by_kind
-            ),
-        )
+        return {**self._values(), "hit_rate": self.hit_rate}
 
 
 class ResultCache:

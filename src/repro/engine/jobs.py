@@ -10,16 +10,15 @@ execution safe.
 Job kinds are extensible: ``eval`` (the standard
 :func:`repro.eval.runner.evaluate` cell) is built in, and other modules
 register additional kinds with :func:`register_job_kind` — the
-Fig. 2(b) similarity capture in :mod:`repro.eval.similarity_stats`,
-sharded trace simulation in :mod:`repro.accel.sim_jobs`, and
-per-sample-span evaluation shards in :mod:`repro.eval.eval_shards`.
+Fig. 2(b) similarity capture in :mod:`repro.eval.similarity_stats`
+and per-sample-span evaluation shards in :mod:`repro.eval.eval_shards`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
 
@@ -85,11 +84,6 @@ class EvalJob:
             started with ``spawn`` — which import nothing beyond this
             module — load the executor for any custom kind.  Not part
             of the job's identity.
-        payload: Opaque data shipped to the executor alongside the job
-            (e.g. a sim shard's traces).  Not part of the job's
-            identity: any key field that depends on the payload must be
-            a *content digest* of it (``sim`` jobs key on a trace
-            digest), so equal keys still mean interchangeable results.
     """
 
     model: str
@@ -102,7 +96,6 @@ class EvalJob:
     kind: str = "eval"
     extra: tuple[tuple[str, object], ...] = ()
     provider: str = ""
-    payload: Any = field(default=None, repr=False, compare=False)
 
     @cached_property
     def key(self) -> tuple:
@@ -194,7 +187,6 @@ def _execute_eval(job: EvalJob) -> Any:
 
 DEFAULT_KIND_PROVIDERS = (
     "repro.eval.similarity_stats",
-    "repro.accel.sim_jobs",
     "repro.eval.eval_shards",
 )
 """Modules imported when an unregistered kind is encountered and the

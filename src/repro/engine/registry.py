@@ -20,7 +20,6 @@ registry import-light.
 from __future__ import annotations
 
 import importlib
-import inspect
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
@@ -44,10 +43,7 @@ class ExperimentPlan:
         assemble: Pure function from the engine's results mapping to
             the experiment's result object.  It must not evaluate
             anything itself — only simulate, aggregate, and format —
-            so caching and parallelism stay complete.  An assembler
-            that accepts an ``engine`` keyword receives the engine the
-            plan ran on, so its trace simulations can shard onto the
-            same worker pool (results stay bit-identical either way).
+            so caching and parallelism stay complete.
     """
 
     jobs: tuple[EvalJob, ...]
@@ -172,28 +168,10 @@ def reset_default_engine() -> None:
         _default_engine = None
 
 
-def _accepts_engine(assemble: Assembler) -> bool:
-    """Whether an assembler takes an ``engine`` keyword."""
-    try:
-        parameters = inspect.signature(assemble).parameters
-    except (TypeError, ValueError):
-        return False
-    if "engine" in parameters:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in parameters.values()
-    )
-
-
 def assemble_plan(
-    plan: ExperimentPlan,
-    results: Mapping[EvalJob, Any],
-    engine: ExperimentEngine | None = None,
+    plan: ExperimentPlan, results: Mapping[EvalJob, Any]
 ) -> Any:
-    """Run a plan's assemble step, handing it the engine if it wants one."""
-    if engine is not None and _accepts_engine(plan.assemble):
-        return plan.assemble(results, engine=engine)
+    """Run a plan's assemble step (trace simulation runs in here)."""
     return plan.assemble(results)
 
 
@@ -228,7 +206,7 @@ def run_plan(
     failures = _plan_failures(plan, results)
     if failures:
         return ExperimentFailure(name=name, failures=failures)
-    return assemble_plan(plan, results, engine)
+    return assemble_plan(plan, results)
 
 
 def run_experiments(
@@ -269,5 +247,5 @@ def run_experiments(
         if failures:
             out[name] = ExperimentFailure(name=name, failures=failures)
         else:
-            out[name] = assemble_plan(plan, results, engine)
+            out[name] = assemble_plan(plan, results)
     return out

@@ -6,8 +6,8 @@ collapses duplicates by key, serves what it can from the result cache,
 and runs the remainder either in-process (``workers=1``) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Progress events
 (``cache-hit`` / ``started`` / ``completed``, over every job kind the
-batch schedules: whole-cell ``eval``, per-span ``eval-shard``, sharded
-``sim``, ``fig2b``, …) stream to an optional callback as jobs finish.
+batch schedules: whole-cell ``eval``, per-span ``eval-shard``,
+``fig2b``, …) stream to an optional callback as jobs finish.
 With ``eval_shards`` set, whole-cell ``eval`` jobs are further split
 into per-sample-span shards (:mod:`repro.eval.eval_shards`) that
 execute, dedupe, and cache individually and stream ``eval-shard-done``
@@ -55,6 +55,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.engine.blas import pin_worker
 from repro.engine.cache import MISS, ResultCache
+from repro.engine.counters import Counters
 from repro.engine.faults import (
     DEFAULT_RETRY_POLICY,
     JobFailure,
@@ -121,7 +122,7 @@ def _warm_up_probe() -> None:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Counters):
     """Cumulative scheduling counters (one engine's lifetime).
 
     ``executed`` counts actual evaluation calls; the acceptance
@@ -150,66 +151,6 @@ class EngineStats:
     quarantined: int = 0
     wall_s: float = 0.0
     executed_by_kind: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_unique": self.jobs_unique,
-            "jobs_deduped": self.jobs_deduped,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "remote_jobs": self.remote_jobs,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "pool_crashes": self.pool_crashes,
-            "peer_failures": self.peer_failures,
-            "failed": self.failed,
-            "quarantined": self.quarantined,
-            "wall_s": self.wall_s,
-            "executed_by_kind": dict(self.executed_by_kind),
-        }
-
-    def delta(self, earlier: "EngineStats") -> "EngineStats":
-        """Counters accumulated since an earlier snapshot."""
-        by_kind = {
-            kind: count - earlier.executed_by_kind.get(kind, 0)
-            for kind, count in self.executed_by_kind.items()
-            if count - earlier.executed_by_kind.get(kind, 0)
-        }
-        return EngineStats(
-            jobs_submitted=self.jobs_submitted - earlier.jobs_submitted,
-            jobs_unique=self.jobs_unique - earlier.jobs_unique,
-            jobs_deduped=self.jobs_deduped - earlier.jobs_deduped,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            executed=self.executed - earlier.executed,
-            remote_jobs=self.remote_jobs - earlier.remote_jobs,
-            retries=self.retries - earlier.retries,
-            timeouts=self.timeouts - earlier.timeouts,
-            pool_crashes=self.pool_crashes - earlier.pool_crashes,
-            peer_failures=self.peer_failures - earlier.peer_failures,
-            failed=self.failed - earlier.failed,
-            quarantined=self.quarantined - earlier.quarantined,
-            wall_s=self.wall_s - earlier.wall_s,
-            executed_by_kind=by_kind,
-        )
-
-    def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            jobs_submitted=self.jobs_submitted,
-            jobs_unique=self.jobs_unique,
-            jobs_deduped=self.jobs_deduped,
-            cache_hits=self.cache_hits,
-            executed=self.executed,
-            remote_jobs=self.remote_jobs,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            pool_crashes=self.pool_crashes,
-            peer_failures=self.peer_failures,
-            failed=self.failed,
-            quarantined=self.quarantined,
-            wall_s=self.wall_s,
-            executed_by_kind=dict(self.executed_by_kind),
-        )
 
 
 @dataclass
@@ -247,10 +188,6 @@ class ExperimentEngine:
         progress: Optional streaming callback invoked from the
             scheduling process as jobs hit the cache, start, and
             complete.
-        sim_shards: Shards to split each trace-simulation batch into
-            when a driver routes :func:`repro.accel.simulator.
-            simulate_many` through this engine (the CLI's
-            ``--sim-shards``); ``None`` means one shard per worker.
         eval_shards: Samples per evaluation shard (the CLI's
             ``--eval-shards``).  When set, whole-cell ``eval`` jobs
             that miss the cache are split into per-sample-span
@@ -285,10 +222,10 @@ class ExperimentEngine:
             local-only execution.
 
     The process pool is created lazily on the first parallel batch and
-    reused across :meth:`run` calls — a driver that runs many small
-    sharded-simulation batches pays the pool spawn cost once, not per
-    batch.  :meth:`close` (or the context-manager protocol) releases
-    the workers; a closed engine recreates the pool on next use.
+    reused across :meth:`run` calls — a server that runs many small
+    batches pays the pool spawn cost once, not per batch.
+    :meth:`close` (or the context-manager protocol) releases the
+    workers; a closed engine recreates the pool on next use.
     """
 
     def __init__(
@@ -296,7 +233,6 @@ class ExperimentEngine:
         workers: int = 1,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        sim_shards: int | None = None,
         eval_shards: int | None = None,
         retry_policy: RetryPolicy | None = None,
         job_timeout_s: float | None = None,
@@ -305,9 +241,6 @@ class ExperimentEngine:
         self.workers = max(1, int(workers))
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
-        if sim_shards is not None and sim_shards < 1:
-            raise ValueError(f"sim_shards must be >= 1, got {sim_shards}")
-        self.sim_shards = sim_shards
         if eval_shards is not None and eval_shards < 1:
             raise ValueError(
                 f"eval_shards must be >= 1, got {eval_shards}"

@@ -1,20 +1,11 @@
-"""Shared shard-planning and content-digest helpers.
+"""Shard planning for per-sample evaluation shards.
 
-Both sharded workloads — trace simulation (:mod:`repro.accel.sim_jobs`)
-and per-sample evaluation (:mod:`repro.eval.eval_shards`) — split a
-batch of items into contiguous ``[start, stop)`` spans, give every span
-a content-addressed job key, and re-fold the per-item results in global
-order.  The planning arithmetic and the digesting live here so the two
-paths can never drift apart; :mod:`repro.accel.simulator` and
-:mod:`repro.accel.sim_jobs` re-export the names they historically
-owned.
+:mod:`repro.eval.eval_shards` splits a cell's samples into contiguous
+``[start, stop)`` spans, gives every span a content-addressed job key,
+and re-folds the per-span results in global order.
 """
 
 from __future__ import annotations
-
-import hashlib
-import math
-from typing import Iterable
 
 Span = tuple[int, int]
 
@@ -35,24 +26,3 @@ def plan_shards(num_items: int, shard_size: int) -> list[Span]:
         (start, min(start + shard_size, num_items))
         for start in range(0, num_items, shard_size)
     ]
-
-
-def shard_count_to_size(num_items: int, num_shards: int) -> int:
-    """Items per shard when splitting a batch into ``num_shards``."""
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    return max(1, math.ceil(num_items / num_shards))
-
-
-def sequence_digest(items: Iterable[object], length: int = 32) -> str:
-    """Content digest of an item sequence via each item's ``repr``.
-
-    Items must have deterministic, value-complete ``repr``\\ s (plain
-    dataclasses of ints/floats qualify), so the digest is stable across
-    processes and sessions — it is the part of a sharded job's identity
-    that stands in for the payload.
-    """
-    hasher = hashlib.sha256()
-    for item in items:
-        hasher.update(repr(item).encode("utf-8"))
-    return hasher.hexdigest()[:length]

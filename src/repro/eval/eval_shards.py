@@ -1,8 +1,6 @@
 """Per-sample evaluation sharding as an engine workload.
 
-PR 2 made trace *simulation* shard onto the worker pool; this module is
-its evaluation-side twin.  A whole (model, dataset, method) ``eval``
-cell is split into contiguous per-sample-span shards, each an
+A whole (model, dataset, method) ``eval`` cell is split into contiguous per-sample-span shards, each an
 ``eval-shard`` :class:`~repro.engine.jobs.EvalJob` the
 :class:`~repro.engine.scheduler.ExperimentEngine` dedupes, caches, and
 executes on its worker pool; the span results are re-folded in global

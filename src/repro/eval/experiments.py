@@ -74,20 +74,14 @@ def _paper_scale_sim(
     result: EvalResult,
     arch: ArchConfig,
     target_tokens: int | None = None,
-    engine: ExperimentEngine | None = None,
 ) -> SimResult:
-    """Simulate an evaluation's traces at paper-scale geometry.
-
-    With an engine, the per-sample traces run as sharded ``sim`` jobs
-    on its worker pool (bit-identical to the serial fold); without one
-    they fold serially in-process.
-    """
+    """Simulate an evaluation's traces at paper-scale geometry."""
     hidden = get_model_config(result.model).hidden
     scaled = [
         scale_to_paper(trace, hidden, target_tokens)
         for trace in result.traces
     ]
-    return simulate_many(scaled, arch, engine=engine)
+    return simulate_many(scaled, arch)
 
 
 def _engine_driver(plan_fn: Callable[..., ExperimentPlan]) -> Callable:
@@ -199,13 +193,11 @@ def plan_table3(
         for _, method in _TABLE3_ARCHS
     }
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[Table3Row]:
+    def assemble(results: Results) -> list[Table3Row]:
         rows = []
         for arch, method in _TABLE3_ARCHS:
             cell = results[jobs[method]]
-            sim = _paper_scale_sim(cell, arch, engine=engine)
+            sim = _paper_scale_sim(cell, arch)
             rows.append(Table3Row(
                 name=arch.name,
                 pe_array=f"{arch.pe_rows}x{arch.pe_cols}",
@@ -329,24 +321,16 @@ def plan_table5(
         for method in methods
     }
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[Table5Row]:
+    def assemble(results: Results) -> list[Table5Row]:
         rows = []
         for model in models:
             for dataset in datasets:
                 dense = results[jobs[(model, dataset, "dense")]]
                 ada = results[jobs[(model, dataset, "adaptiv")]]
                 ours = results[jobs[(model, dataset, "focus")]]
-                sim_dense = _paper_scale_sim(
-                    dense, SYSTOLIC, target_tokens, engine=engine
-                )
-                sim_ada = _paper_scale_sim(
-                    ada, ADAPTIV, target_tokens, engine=engine
-                )
-                sim_ours = _paper_scale_sim(
-                    ours, FOCUS, target_tokens, engine=engine
-                )
+                sim_dense = _paper_scale_sim(dense, SYSTOLIC, target_tokens)
+                sim_ada = _paper_scale_sim(ada, ADAPTIV, target_tokens)
+                sim_ours = _paper_scale_sim(ours, FOCUS, target_tokens)
                 rows.append(Table5Row(
                     model=model,
                     dataset=dataset,
@@ -512,9 +496,7 @@ def plan_fig9(
                         method="focus", num_samples=num_samples, seed=seed,
                         config=_base_config(matcher, forward_batch))
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> Fig9Result:
+    def assemble(results: Results) -> Fig9Result:
         result = Fig9Result()
         speedups: dict[str, list[float]] = {d: [] for d in result.designs}
         energies: dict[str, list[float]] = {d: [] for d in result.designs}
@@ -527,12 +509,10 @@ def plan_fig9(
                 ours = results[jobs[(model, dataset, "focus")]]
 
                 sims = {
-                    "systolic-array": _paper_scale_sim(
-                        dense, SYSTOLIC, engine=engine
-                    ),
-                    "adaptiv": _paper_scale_sim(ada, ADAPTIV, engine=engine),
-                    "cmc": _paper_scale_sim(cmc, CMC, engine=engine),
-                    "focus": _paper_scale_sim(ours, FOCUS, engine=engine),
+                    "systolic-array": _paper_scale_sim(dense, SYSTOLIC),
+                    "adaptiv": _paper_scale_sim(ada, ADAPTIV),
+                    "cmc": _paper_scale_sim(cmc, CMC),
+                    "focus": _paper_scale_sim(ours, FOCUS),
                 }
                 hidden = get_model_config(model).hidden
                 gpu_dense = [
@@ -594,7 +574,7 @@ def plan_fig9(
 
         result.area_breakdown_mm2 = area_breakdown(FOCUS)
         focus_cell = results[power_job]
-        sim = _paper_scale_sim(focus_cell, FOCUS, engine=engine)
+        sim = _paper_scale_sim(focus_cell, FOCUS)
         latency = sim.latency_s()
         result.power_breakdown_w = {
             "core": sim.energy.core_j / latency,
@@ -646,18 +626,14 @@ def plan_fig10a(
             num_samples=num_samples, seed=seed, config=config,
         )
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[SweepPoint]:
+    def assemble(results: Results) -> list[SweepPoint]:
         from repro.accel.buffers import output_buffer_kb_for_tile
 
         points = []
         baseline = None
         for m_tile in m_tiles:
             cell = results[jobs[m_tile]]
-            latency = float(
-                _paper_scale_sim(cell, FOCUS, engine=engine).cycles
-            )
+            latency = float(_paper_scale_sim(cell, FOCUS).cycles)
             baseline = baseline or latency
             label = "full" if m_tile == 0 else str(m_tile)
             buffer_kb = output_buffer_kb_for_tile(
@@ -740,15 +716,11 @@ def plan_fig10c(
         for bf, bh, bw in blocks
     }
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[SweepPoint]:
+    def assemble(results: Results) -> list[SweepPoint]:
         points = []
         for bf, bh, bw in blocks:
             cell = results[jobs[(bf, bh, bw)]]
-            latency = float(
-                _paper_scale_sim(cell, FOCUS, engine=engine).cycles
-            )
+            latency = float(_paper_scale_sim(cell, FOCUS).cycles)
             points.append(SweepPoint(
                 label=f"{bf}{bh}{bw}",
                 latency=latency,
@@ -786,9 +758,7 @@ def plan_fig10d(
                   num_samples=num_samples, seed=seed,
                   config=_base_config(matcher, forward_batch))
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[SweepPoint]:
+    def assemble(results: Results) -> list[SweepPoint]:
         cell = results[job]
         hidden = get_model_config(model).hidden
         scaled = [scale_to_paper(t, hidden) for t in cell.traces]
@@ -803,7 +773,7 @@ def plan_fig10d(
                 has_sic=True,
                 scatter_accumulators=count,
             )
-            sim = simulate_many(scaled, arch, engine=engine)
+            sim = simulate_many(scaled, arch)
             if best is None or sim.cycles < best:
                 best = sim.cycles
             points.append(SweepPoint(
@@ -845,32 +815,26 @@ def plan_fig11(
         for method in methods
     }
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[AblationBar]:
-        sa = _paper_scale_sim(results[jobs["dense"]], SYSTOLIC, engine=engine)
+    def assemble(results: Results) -> list[AblationBar]:
+        sa = _paper_scale_sim(results[jobs["dense"]], SYSTOLIC)
         return [
             AblationBar("systolic-array", 1.0),
             AblationBar(
                 "cmc",
                 sa.latency_s()
-                / _paper_scale_sim(
-                    results[jobs["cmc"]], CMC, engine=engine
-                ).latency_s(),
+                / _paper_scale_sim(results[jobs["cmc"]], CMC).latency_s(),
             ),
             AblationBar(
                 "ours-sec",
                 sa.latency_s()
                 / _paper_scale_sim(
-                    results[jobs["focus-sec"]], FOCUS, engine=engine
+                    results[jobs["focus-sec"]], FOCUS
                 ).latency_s(),
             ),
             AblationBar(
                 "ours",
                 sa.latency_s()
-                / _paper_scale_sim(
-                    results[jobs["focus"]], FOCUS, engine=engine
-                ).latency_s(),
+                / _paper_scale_sim(results[jobs["focus"]], FOCUS).latency_s(),
             ),
         ]
 
@@ -914,21 +878,19 @@ def plan_fig12(
         for method, _ in _FIG12_METHODS
     }
 
-    def assemble(
-        results: Results, engine: ExperimentEngine | None = None
-    ) -> list[Fig12Row]:
+    def assemble(results: Results) -> list[Fig12Row]:
         rows = []
         for model in models:
             row = Fig12Row(model=model)
             dense = results[jobs[(model, "dense")]]
-            sa = _paper_scale_sim(dense, SYSTOLIC, engine=engine)
+            sa = _paper_scale_sim(dense, SYSTOLIC)
             dense_inputs = sum(
                 g.m * g.k * 2 for t in dense.traces for g in t.gemms
                 if g.name in ("qkv", "fc1", "o_proj")
             )
             for method, arch in _FIG12_METHODS:
                 cell = results[jobs[(model, method)]]
-                sim = _paper_scale_sim(cell, arch, engine=engine)
+                sim = _paper_scale_sim(cell, arch)
                 row.dram_ratio[method] = (
                     sim.activation_dram_bytes / sa.activation_dram_bytes
                 )

@@ -9,13 +9,14 @@ before unpickling, so a corrupted or tampered entry degrades to a
 cache miss instead of poisoning a result.
 
 Job batches for the ``POST /jobs`` execute endpoint are pickled too
-(:func:`encode_jobs` / :func:`decode_jobs`): jobs may carry opaque
-``payload`` attachments (e.g. a sim shard's traces) that have no JSON
-form, and the trust model matches the process pool's — peers are our
-own processes on a trusted network.  Per-job results come back as
-``("ok", digest, payload_bytes)`` or ``("failed", detail)`` entries
-keyed by job id (:func:`encode_job_results`), digests verified by the
-coordinator before a payload is accepted.
+(:func:`encode_jobs` / :func:`decode_jobs`): a job's key holds
+dataclasses (its :class:`~repro.config.FocusConfig`, kind-specific
+``extra`` values) that have no JSON form, and the trust model matches
+the process pool's — peers are our own processes on a trusted
+network.  Per-job results come back as ``("ok", digest,
+payload_bytes)`` or ``("failed", detail)`` entries keyed by job id
+(:func:`encode_job_results`), digests verified by the coordinator
+before a payload is accepted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.engine.jobs import EvalJob
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 """Bumped whenever the pickled wire envelopes change shape."""
 
 DIGEST_HEADER = "x-repro-sha256"

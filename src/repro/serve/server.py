@@ -83,8 +83,8 @@ from repro.store.runstore import DEFAULT_STORE_PATH, RunStore
 
 DEFAULT_PORT = 8377
 MAX_BODY_BYTES = 1 << 30
-"""Request-body ceiling; ``POST /jobs`` batches carry pickled job
-payloads (e.g. sim traces), everything else is small JSON."""
+"""Request-body ceiling; ``POST /jobs`` carries a pickled job batch,
+everything else is small JSON."""
 DEFAULT_RING_SIZE = 65536
 DEFAULT_MAX_FINISHED_RUNS = 256
 """Terminal runs retained (with their event logs and reports) before
@@ -844,8 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="engine worker processes shared by all runs "
                              "(default: 1, in-process; pool workers run "
                              "one BLAS thread each)")
-    parser.add_argument("--sim-shards", type=positive_int, default=None,
-                        help="shards per trace-simulation batch (>= 1)")
     parser.add_argument("--eval-shards", type=positive_int, default=None,
                         help="samples per evaluation shard (streams "
                              "running partial results; >= 1)")
@@ -905,7 +903,6 @@ def main(argv: Iterable[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
-        sim_shards=args.sim_shards,
         eval_shards=args.eval_shards,
         cache_max_mb=args.cache_max_mb,
         retries=args.retries,

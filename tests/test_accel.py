@@ -20,7 +20,12 @@ from repro.accel.focus_unit import (
     sic_matcher_cycles,
 )
 from repro.accel.scaling import ScaleFactors, scale_gemm, scale_to_paper
-from repro.accel.simulator import simulate, simulate_many
+from repro.accel.simulator import (
+    canonical_dram,
+    dram_config,
+    simulate,
+    simulate_many,
+)
 from repro.accel.systolic import (
     concentrated_gemm_cycles,
     dense_gemm_cycles,
@@ -277,6 +282,48 @@ class TestSimulator:
     def test_utilization_bounded(self):
         result = simulate(self._trace(), SYSTOLIC)
         assert 0 < result.utilization(SYSTOLIC.num_pes) <= 1
+
+
+class TestDramNormalization:
+    """Every simulation runs on a DramModel rebuilt from field values."""
+
+    @staticmethod
+    def _traces():
+        traces = []
+        for m in (64, 128, 256):
+            trace = ModelTrace(initial_tokens=m)
+            trace.add(GemmTrace(name="qkv", layer=0, m=m, k=64, n=192,
+                                input_unique=m // 2, vector_size=32))
+            trace.add(GemmTrace(name="fc2", layer=0, m=m, k=192, n=64))
+            traces.append(trace)
+        return traces
+
+    def test_mutated_frozen_instance_normalized(self):
+        traces = self._traces()
+        shared = DramModel()
+        object.__setattr__(shared, "efficiency", 0.5)  # defeats frozen=True
+        mutated = simulate_many(traces, FOCUS, shared)
+        explicit = simulate_many(traces, FOCUS, DramModel(efficiency=0.5))
+        assert mutated == explicit
+        assert mutated != simulate_many(traces, FOCUS, DramModel())
+
+    def test_subclass_rejected(self):
+        class TamperedDram(DramModel):
+            def transfer_cycles(self, num_bytes, frequency_hz):
+                return 0
+
+        with pytest.raises(TypeError, match="DramModel"):
+            simulate_many(self._traces(), FOCUS, TamperedDram())
+        with pytest.raises(TypeError, match="DramModel"):
+            dram_config(TamperedDram())
+
+    def test_canonical_dram_defaults_to_arch_bandwidth(self):
+        dram = canonical_dram(None, FOCUS)
+        assert dram == DramModel(bandwidth_gbs=FOCUS.dram_bandwidth_gbs)
+
+    def test_config_roundtrip(self):
+        dram = DramModel(bandwidth_gbs=32.0, efficiency=0.7)
+        assert DramModel(**dict(dram_config(dram))) == dram
 
 
 class TestScaling:

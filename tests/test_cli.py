@@ -96,9 +96,7 @@ class TestParser:
         assert defaults.job_timeout is None
         assert defaults.on_error == "raise"
 
-    @pytest.mark.parametrize("flag", [
-        "--workers", "--sim-shards", "--eval-shards",
-    ])
+    @pytest.mark.parametrize("flag", ["--workers", "--eval-shards"])
     @pytest.mark.parametrize("value", ["0", "-1", "2.5", "many"])
     def test_counts_must_be_positive_integers(self, flag, value, capsys):
         with pytest.raises(SystemExit):
@@ -119,7 +117,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    @pytest.mark.parametrize("flag", ["--workers", "--sim-shards"])
+    @pytest.mark.parametrize("flag", ["--workers", "--eval-shards"])
     def test_positive_counts_accepted(self, flag):
         args = build_parser().parse_args(["fig9", flag, "3"])
         assert getattr(args, flag.lstrip("-").replace("-", "_")) == 3

@@ -10,6 +10,7 @@ The heavier scenarios pin the PR's acceptance criteria:
   matches a direct (pre-refactor style) serial ``evaluate`` loop.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.engine import (
     MISS,
+    CacheStats,
+    EngineStats,
     EvalJob,
     ExperimentEngine,
     ResultCache,
@@ -130,6 +133,58 @@ class TestResultCache:
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
 
+class TestStatsCounters:
+    """``as_dict``/``snapshot``/``delta`` cover every counter field."""
+
+    @staticmethod
+    def _dict_fields(cls) -> set[str]:
+        blank = cls()
+        return {f.name for f in dataclasses.fields(cls)
+                if isinstance(getattr(blank, f.name), dict)}
+
+    def _distinct(self, cls, base: int):
+        values = {}
+        for offset, f in enumerate(dataclasses.fields(cls)):
+            value = base + 10 * offset
+            if f.name in self._dict_fields(cls):
+                values[f.name] = {"eval": value, "fig2b": value + 1}
+            else:
+                values[f.name] = value
+        return cls(**values)
+
+    @pytest.mark.parametrize("cls", [EngineStats, CacheStats])
+    def test_snapshot_detached_and_delta_subtracts_every_field(self, cls):
+        dict_fields = self._dict_fields(cls)
+        assert dict_fields  # both classes count something per kind
+        stats = self._distinct(cls, base=1000)
+        snap = stats.snapshot()
+        assert snap == stats and snap is not stats
+        for name in dict_fields:
+            assert getattr(snap, name) is not getattr(stats, name)
+            getattr(stats, name)["eval"] += 1  # mutate the live counters
+        assert snap == self._distinct(cls, base=1000)  # snap is detached
+
+        earlier = self._distinct(cls, base=1)
+        for name in dict_fields:
+            # an unchanged key drops out of the delta
+            getattr(earlier, name)["fig2b"] = getattr(stats, name)["fig2b"]
+        delta = stats.delta(earlier)
+        for f in dataclasses.fields(cls):
+            if f.name in dict_fields:
+                assert getattr(delta, f.name) == {"eval": 1000}
+            else:
+                assert getattr(delta, f.name) == 999
+
+    def test_as_dict_lists_every_field(self):
+        engine = self._distinct(EngineStats, base=5)
+        assert engine.as_dict() == dataclasses.asdict(engine)
+        cache = self._distinct(CacheStats, base=5)
+        assert cache.as_dict() == {
+            **dataclasses.asdict(cache), "hit_rate": cache.hit_rate
+        }
+        assert cache.as_dict()["hits_by_kind"] is not cache.hits_by_kind
+
+
 class TestDiskCacheLru:
     """Size-capped LRU pruning of the disk tier, keyed on last_used."""
 
@@ -236,6 +291,22 @@ class TestEngineScheduling:
         assert engine.stats.jobs_deduped == 2
         assert engine.stats.executed == 1
         assert results[_job()].accuracy >= 0.0
+
+    @pytest.mark.slow
+    def test_worker_pool_persists_across_batches(self):
+        with ExperimentEngine(workers=2) as engine:
+            first = engine.run([_job(), _job(method="focus")])
+            pool = engine._pool
+            assert pool is not None
+            engine.run([_job(seed=1), _job(method="focus", seed=1)])
+            assert engine._pool is pool  # reused, not respawned
+        assert engine._pool is None  # context exit released the workers
+        # A closed engine lazily recreates the pool on next use.
+        again = engine.run([_job(), _job(method="focus"), _job(seed=2),
+                            _job(method="focus", seed=2)])
+        assert engine._pool is not None
+        engine.close()
+        assert again[_job()] == first[_job()]
 
     def test_warm_cache_rerun_zero_evaluations(self):
         engine = ExperimentEngine()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.accel.trace import GemmTrace, ModelTrace
 from repro.engine import EvalJob, ExperimentEngine, ResultCache
-from repro.engine.sharding import plan_shards, shard_count_to_size
+from repro.engine.sharding import plan_shards
 from repro.eval.eval_shards import (
     EVAL_SHARD_KIND,
     merge_eval_shards,
@@ -177,7 +177,7 @@ class TestShardPlanning:
 
     def test_only_eval_jobs_shard(self):
         with pytest.raises(ValueError, match="eval"):
-            plan_eval_shards(self._job(kind="sim"), shard_size=2)
+            plan_eval_shards(self._job(kind="fig2b"), shard_size=2)
 
     def test_engine_rejects_invalid_eval_shards(self):
         with pytest.raises(ValueError, match="eval_shards"):
@@ -185,12 +185,22 @@ class TestShardPlanning:
         with pytest.raises(ValueError, match="eval_shards"):
             ExperimentEngine(eval_shards=-2)
 
-    def test_shard_count_to_size(self):
-        assert shard_count_to_size(10, 4) == 3
-        assert shard_count_to_size(2, 8) == 1
-        with pytest.raises(ValueError, match="num_shards"):
-            shard_count_to_size(10, 0)
+    def test_plan_shards(self):
         assert plan_shards(9, 3) == [(0, 3), (3, 6), (6, 9)]
+
+    def test_plan_shards_covers_every_index_once(self):
+        assert plan_shards(10, 3) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+    def test_plan_shards_single_shard(self):
+        assert plan_shards(4, 99) == [(0, 4)]
+
+    def test_plan_shards_empty(self):
+        assert plan_shards(0, 3) == []
+
+    def test_plan_shards_rejects_nonpositive_shard_size(self):
+        for shard_size in (0, -2):
+            with pytest.raises(ValueError, match="shard_size"):
+                plan_shards(5, shard_size)
 
     def test_merge_eval_shards_labels_int8(self):
         parent = self._job(num_samples=0, quantized=True)

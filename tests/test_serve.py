@@ -106,10 +106,9 @@ class TestEventCodec:
             kind="eval-shard", num_samples=2,
             extra=(("span", (2, 4)),),
         )
-        sim = make_job(
-            kind="sim", model="focus", dataset="trace/0f3a",
-            method="focus",
-            extra=(("arch", "focus"), ("span", (0, 3))),
+        capture = make_job(
+            kind="fig2b", method="similarity",
+            extra=(("vector_sizes", (16, 32)),),
         )
         detail = {
             "parent": make_job().describe(), "shards_done": 1,
@@ -121,20 +120,20 @@ class TestEventCodec:
             "reason": "KeyError: 'x'",
         }
         failure_detail = {
-            "job_id": sim.job_id, "label": "sim", "kind": "error",
+            "job_id": capture.job_id, "label": "fig2b", "kind": "error",
             "attempts": 3, "error": "KeyError: 'x'", "tracebacks": [],
         }
         return [
             ProgressEvent("cache-hit", make_job(), 1, 4, 0.1, seq=1),
-            ProgressEvent("started", sim, 1, 4, 0.2, seq=2),
-            ProgressEvent("completed", sim, 2, 4, 0.3, seq=3),
+            ProgressEvent("started", capture, 1, 4, 0.2, seq=2),
+            ProgressEvent("completed", capture, 2, 4, 0.3, seq=3),
             ProgressEvent("eval-shard-done", shard, 3, 4, 0.4,
                           detail=detail, seq=4),
-            ProgressEvent("retrying", sim, 3, 4, 0.5,
+            ProgressEvent("retrying", capture, 3, 4, 0.5,
                           detail=retry_detail, seq=5),
-            ProgressEvent("gave-up", sim, 4, 4, 0.6,
+            ProgressEvent("gave-up", capture, 4, 4, 0.6,
                           detail=failure_detail, seq=6),
-            ProgressEvent("quarantined", sim, 4, 4, 0.7,
+            ProgressEvent("quarantined", capture, 4, 4, 0.7,
                           detail=dict(failure_detail, kind="poisoned"),
                           seq=7),
         ]
