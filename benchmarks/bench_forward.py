@@ -1,22 +1,25 @@
 """Single-sample forward-pass benchmark: reference vs wavefront matcher.
 
-The acceptance gate for the wavefront-matcher PR: on every model-zoo
+The acceptance gate for the wavefront matcher: on every model-zoo
 entry, a full Focus forward pass under the wavefront (level-scheduled)
-matcher must be *trace-for-trace identical* to the retained serial
-reference, and on the large zoo config (the widest/deepest model,
-``qwen25-vl``, on the largest token stream, ``videomme``) the wavefront
-forward must be at least ``SPEEDUP_GATE`` x faster.  The run doubles as
-the telemetry emitter: ``benchmarks/results/BENCH_forward.json``
-records per-model wall-clock for both matcher implementations, the
-speedup, token counts, and matcher comparison counts, giving future
-PRs a perf trajectory for the forward hot path like BENCH_sim.json /
-BENCH_eval.json provide for the simulation and evaluation phases.
+matcher must be *trace-for-trace identical* to one whose tiles all run
+through the retained serial reference (``match_tile_reference``,
+swapped in for the duration of the reference arm), and on the large
+zoo config (the widest/deepest model, ``qwen25-vl``, on the largest
+token stream, ``videomme``) the wavefront forward must be at least
+``SPEEDUP_GATE`` x faster.  The run doubles as the telemetry emitter:
+``benchmarks/results/BENCH_forward.json`` records per-model wall-clock
+for both matcher implementations, the speedup, token counts, and
+matcher comparison counts — a perf trajectory for the forward hot
+path like BENCH_sim.json / BENCH_eval.json provide for the simulation
+and evaluation phases.
 """
 
+import contextlib
 import json
 import time
 
-from repro.config import FocusConfig
+from repro.core.matching import SimilarityMatcher
 from repro.core.pipeline import FocusPlugin
 from repro.eval.runner import ModelCache
 from repro.model.zoo import MODEL_CONFIGS
@@ -37,12 +40,28 @@ ROUNDS = 3
 """Best-of-N timing; the minimum is robust against scheduler noise."""
 
 
-def _timed_forward(model, sample, mode):
-    """Best-of-ROUNDS wall clock and the last outcome for one mode."""
+@contextlib.contextmanager
+def _reference_matcher():
+    """Run every wavefront matcher call on the reference oracle."""
+    wavefront = SimilarityMatcher.match_tile_wavefront
+
+    def reference(self, blocks, neighbor_table, levels=None, norms=None,
+                  schedule=None):
+        return self.match_tile_reference(blocks, neighbor_table, norms)
+
+    SimilarityMatcher.match_tile_wavefront = reference
+    try:
+        yield
+    finally:
+        SimilarityMatcher.match_tile_wavefront = wavefront
+
+
+def _timed_forward(model, sample):
+    """Best-of-ROUNDS wall clock and the last outcome."""
     best = float("inf")
     outcome = None
     for _ in range(ROUNDS):
-        plugin = FocusPlugin(model, FocusConfig(matcher=mode))
+        plugin = FocusPlugin(model)
         start = time.perf_counter()
         outcome = model.forward(sample, plugin)
         best = min(best, time.perf_counter() - start)
@@ -57,8 +76,9 @@ def test_forward_wavefront_parity_and_speedup(benchmark, results_dir):
         sample, = make_dataset_span(
             dataset, model.config.layout, 0, 1, seed=0
         )
-        ref_wall, ref_out = _timed_forward(model, sample, "reference")
-        wav_wall, wav_out = _timed_forward(model, sample, "wavefront")
+        with _reference_matcher():
+            ref_wall, ref_out = _timed_forward(model, sample)
+        wav_wall, wav_out = _timed_forward(model, sample)
 
         # The tentpole guarantee: the wavefront forward is bit-identical
         # to the serial reference — same prediction, same trace, every
@@ -91,8 +111,7 @@ def test_forward_wavefront_parity_and_speedup(benchmark, results_dir):
         sample, = make_dataset_span(
             large_dataset, model.config.layout, 0, 1, seed=0
         )
-        plugin = FocusPlugin(model, FocusConfig(matcher="wavefront"))
-        return model.forward(sample, plugin)
+        return model.forward(sample, FocusPlugin(model))
 
     benchmark.pedantic(_one_wavefront_forward, rounds=1, iterations=1)
     benchmark.extra_info["large_config_speedup"] = large["speedup"]

@@ -44,17 +44,12 @@ Flags:
     larger ``--samples`` executes only each cell's new suffix spans.
     With ``--progress``, finished spans stream their cell's running
     accuracy/sparsity.
-``--matcher {wavefront,reference}``
-    Similarity-matcher implementation for every scheduled cell
-    (default: wavefront, the level-scheduled batched matcher).
-    ``reference`` re-runs on the retained row-at-a-time oracle — an
-    A/B debugging escape hatch; both produce bit-identical results,
-    only wall-clock differs.
 ``--forward-batch N``
     Forward-pass batch size for every scheduled cell (default: 1,
     the serial loop).  Same-shape samples stack into one tensorized
     pass; results are bit-identical for any batch size, only
-    wall-clock differs.
+    wall-clock differs.  Methods without a batched forward, and
+    ``dense`` (faster per sample), keep the serial loop.
 ``--retries N``
     Extra attempts per failed job (default: 0).  Attempts back off
     exponentially from ``--retry-backoff`` with deterministic jitter
@@ -313,12 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
              "results are identical for any span size)",
     )
     parser.add_argument(
-        "--matcher", choices=("wavefront", "reference"), default=None,
-        help="similarity-matcher implementation (default: wavefront; "
-             "'reference' is the serial oracle for A/B debugging — "
-             "results are bit-identical, only wall-clock differs)",
-    )
-    parser.add_argument(
         "--forward-batch", type=int, default=None,
         help="forward-pass batch size (default: 1, the serial loop; "
              "same-shape samples stack into one tensorized pass — "
@@ -498,15 +487,13 @@ def run_experiment(
     samples: int | None = None,
     seed: int = 0,
     engine: ExperimentEngine | None = None,
-    matcher: str | None = None,
     forward_batch: int | None = None,
     on_error: str = "raise",
     scenario: str | None = None,
 ) -> str:
     """Run one experiment and return its formatted report."""
     text, = run_experiments(
-        [name], samples, seed, engine, matcher, forward_batch, on_error,
-        scenario,
+        [name], samples, seed, engine, forward_batch, on_error, scenario,
     ).values()
     return text
 
@@ -516,7 +503,6 @@ def run_experiments(
     samples: int | None = None,
     seed: int = 0,
     engine: ExperimentEngine | None = None,
-    matcher: str | None = None,
     forward_batch: int | None = None,
     on_error: str = "raise",
     scenario: str | None = None,
@@ -530,8 +516,7 @@ def run_experiments(
     instead of raising.
     """
     reports, _ = _run_detailed(
-        names, samples, seed, engine, matcher, forward_batch, on_error,
-        scenario,
+        names, samples, seed, engine, forward_batch, on_error, scenario,
     )
     return reports
 
@@ -541,7 +526,6 @@ def _run_detailed(
     samples: int | None,
     seed: int,
     engine: ExperimentEngine | None,
-    matcher: str | None,
     forward_batch: int | None,
     on_error: str,
     scenario: str | None = None,
@@ -556,8 +540,6 @@ def _run_detailed(
     params: dict = {"seed": seed}
     if samples is not None:
         params["num_samples"] = samples
-    if matcher is not None:
-        params["matcher"] = matcher
     if forward_batch is not None:
         params["forward_batch"] = forward_batch
     if scenario is not None:
@@ -655,8 +637,6 @@ def main(argv: list[str] | None = None) -> int:
         params = {"seed": args.seed}
         if args.samples is not None:
             params["num_samples"] = args.samples
-        if args.matcher is not None:
-            params["matcher"] = args.matcher
         if args.forward_batch is not None:
             params["forward_batch"] = args.forward_batch
         if args.scenario is not None:
@@ -666,8 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         ) + "\n")
     try:
         reports, failures = _run_detailed(
-            names, args.samples, args.seed, engine, args.matcher,
-            args.forward_batch, args.on_error, args.scenario,
+            names, args.samples, args.seed, engine, args.forward_batch,
+            args.on_error, args.scenario,
         )
     except BaseException as exc:
         if jsonl_stream is not None:

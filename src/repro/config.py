@@ -49,11 +49,6 @@ class FocusConfig:
             similarity scatter (Fig. 10(d) optimum: 64).
         fp16: Whether activations are rounded through FP16 between
             layers, matching the FP16-multiplier datapath.
-        matcher: Similarity-matcher implementation: ``"wavefront"``
-            (level-scheduled, batched — the default) or
-            ``"reference"`` (the retained row-at-a-time oracle).  Both
-            produce bit-identical representatives; the escape hatch
-            exists for A/B debugging (CLI ``--matcher``).
         forward_batch: Samples stacked into one cross-sample batched
             forward pass (CLI ``--forward-batch``).  ``1`` runs the
             retained per-sample loop — the parity oracle; any value
@@ -76,7 +71,6 @@ class FocusConfig:
     max_sorter_lanes: int = 32
     scatter_accumulators: int = 64
     fp16: bool = True
-    matcher: str = "wavefront"
     forward_batch: int = 1
 
     def __post_init__(self) -> None:
@@ -88,11 +82,6 @@ class FocusConfig:
             raise ValueError("tile dimensions must be positive")
         if min(self.block_frames, self.block_height, self.block_width) < 1:
             raise ValueError("block dimensions must be >= 1")
-        if self.matcher not in ("wavefront", "reference"):
-            raise ValueError(
-                f"matcher must be 'wavefront' or 'reference', "
-                f"got {self.matcher!r}"
-            )
         if self.forward_batch < 1:
             raise ValueError("forward_batch must be >= 1")
         for layer, ratio in self.retention_schedule.items():

@@ -10,32 +10,28 @@ here drive the Focus pipeline over that stack:
 
 * :class:`BatchFocusPlugin` — SEC per lane (cheap, runs only at
   schedule layers) and SIC via *one* batched gather over the whole
-  stack: per-lane tile plans (lanes start identical within a shape
-  bucket and diverge when semantic pruning keeps different positions)
-  stack into one set of tables plus a merged, padded wavefront
-  schedule, so even layout-diverged lanes resolve in a single
-  matcher pass (:class:`~repro.core.gather.BatchTilePlan`).
+  stack: each m-tile of the stack is matched as one block-diagonal
+  tile, so even lanes whose layouts diverged after semantic pruning
+  resolve in a single matcher pass
+  (:meth:`~repro.core.matching.SimilarityMatcher.match_tile_batch`).
 * :class:`Int8BatchPlugin` — the Table IV INT8 activation arm; absmax
   rounding is per-row, so the stacked quantization is per-lane
   bit-identical to the serial wrapper.
 
-Tile plans are cached *content-addressed*: the cache token is a digest
-of the layout (positions + text mask + grid), so identical layouts —
-across lanes, chunks, and samples — resolve to one cached plan, and
-interleaved groups within a pass never thrash the stale-token
-eviction the serial path uses (the batched gather runs the cache in
-pure-LRU mode).
+Tile plans are cached under the lanes' content-addressed
+:func:`~repro.core.pipeline.layout_digest` tokens, exactly as in the
+per-sample :class:`~repro.core.pipeline.FocusPlugin`.
 
 Methods that compress tokens before the LLM stack or merge between
 layers (``framefusion``, ``adaptiv``, ``cmc``) and methods with
 data-dependent keep counts (``focus-topp``) have no batched
-implementation; :func:`make_batch_plugin` returns ``None`` and the
-evaluation loop falls back to the per-sample oracle.
+implementation, and ``dense`` runs faster per sample (see
+:data:`BATCH_METHOD_REGISTRY`); :func:`make_batch_plugin` returns
+``None`` and the evaluation loop falls back to the per-sample oracle.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable
 
 import numpy as np
@@ -43,12 +39,12 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, FocusConfig
 from repro.core.blocks import linear_index
 from repro.core.gather import SimilarityGather
-from repro.core.pipeline import GATHER_SITES
+from repro.core.pipeline import GATHER_SITES, layout_digest
 from repro.core.scatter import scatter_accumulation_ops
 from repro.core.semantic import SemanticConcentrator
 from repro.model.plugins import BatchPlugin, DedupStats
 from repro.model.spec import ModelConfig
-from repro.model.vlm import BatchState, SyntheticVLM, TokenState
+from repro.model.vlm import BatchState, SyntheticVLM
 from repro.quant.int8 import fake_quant_int8
 from repro.workloads.datasets import Sample
 
@@ -57,31 +53,9 @@ __all__ = [
     "BatchFocusPlugin",
     "Int8BatchPlugin",
     "bucket_samples",
-    "layout_digest",
     "make_batch_plugin",
     "run_batched",
 ]
-
-
-def layout_digest(lane: TokenState) -> str:
-    """Content digest of a lane's token layout.
-
-    Two lanes with equal digests have bit-identical positions, text
-    masks, and grids, so they can share neighbor tables, wavefront
-    schedules, and one batched matcher pass.  Memoized per lane and
-    :attr:`~repro.model.vlm.TokenState.version` in the lane's scratch
-    dict (the layout only changes when the version does).
-    """
-    cached = lane.scratch.get("_layout_digest")
-    if cached is not None and cached[0] == lane.version:
-        return cached[1]
-    hasher = hashlib.sha1()
-    hasher.update(np.ascontiguousarray(lane.positions).tobytes())
-    hasher.update(np.ascontiguousarray(lane.is_text).tobytes())
-    hasher.update(repr((lane.grid, lane.positions.shape)).encode("utf-8"))
-    digest = hasher.hexdigest()
-    lane.scratch["_layout_digest"] = (lane.version, digest)
-    return digest
 
 
 class BatchFocusPlugin(BatchPlugin):
@@ -228,7 +202,6 @@ class Int8BatchPlugin(BatchPlugin):
 BatchPluginFactory = Callable[[SyntheticVLM, FocusConfig], BatchPlugin]
 
 BATCH_METHOD_REGISTRY: dict[str, BatchPluginFactory] = {
-    "dense": lambda model, cfg: BatchPlugin(),
     "focus": lambda model, cfg: BatchFocusPlugin(model, cfg),
     "focus-sec": lambda model, cfg: BatchFocusPlugin(
         model, cfg, enable_sic=False
@@ -242,7 +215,9 @@ BATCH_METHOD_REGISTRY: dict[str, BatchPluginFactory] = {
 }
 """Methods with a batched implementation.  Everything else (entry
 compression, inter-layer merging, data-dependent keep counts) falls
-back to the serial per-sample loop."""
+back to the serial per-sample loop, and so does ``dense``, which has
+no gather to amortize: at one BLAS thread its stacked forward took
+1.2-1.4x the per-sample loop's time on 8 videomme samples."""
 
 
 def make_batch_plugin(

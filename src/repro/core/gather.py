@@ -7,15 +7,22 @@ Matching never crosses a tile boundary — the property behind the
 Fig. 10(a) tile-size/latency trade-off — and text tokens (which have no
 FHW position) are always stored as unique.
 
+One code path serves one sample and a stack of samples:
+:meth:`SimilarityGather.gather_batch` runs each m-tile of the stack as
+one block-diagonal matcher tile
+(:meth:`~repro.core.matching.SimilarityMatcher.match_tile_batch`), and
+:meth:`SimilarityGather.gather` is its one-lane case.
+
 Hot-path layout: everything that depends only on the *token set* (tile
-spans, neighbor tables, wavefront dependency levels) is computed once
-per set and cached as a :class:`TilePlan` keyed on
-``(cache_token, tile)`` — the forward pass passes
-``TokenState.version`` as the token, so all gather sites (qkv /
-o_proj / fc1) of every layer between two semantic-pruning events share
-one plan.  Everything that depends on the *values* (padded k-blocks,
-L2 norms) is computed once per gather call and sliced per tile instead
-of being rebuilt inside the per-tile matcher.
+spans, neighbor tables, wavefront schedules) is computed once per set
+and cached as a :class:`TilePlan` keyed on the lanes' cache tokens and
+the tile.  Callers pass content-addressed layout digests
+(:func:`repro.core.pipeline.layout_digest`), so all gather sites (qkv /
+o_proj / fc1) of every layer between two semantic-pruning events — and
+every sample with the same layout — share one plan.  Everything that
+depends on the *values* (padded k-blocks, L2 norms) is computed once
+per gather call and sliced per tile instead of being rebuilt inside
+the matcher.
 """
 
 from __future__ import annotations
@@ -28,17 +35,14 @@ import numpy as np
 from repro.config import FocusConfig
 from repro.core.blocks import build_neighbor_table, comparisons_in_table
 from repro.core.matching import (
-    BatchLevelGroup,
     LevelGroup,
     SimilarityMatcher,
-    build_batch_schedule,
+    block_diagonal,
     build_level_groups,
 )
 
 __all__ = [
-    "BATCH_PLAN_CACHE_MAX_ENTRIES",
     "BatchGatherResult",
-    "BatchTilePlan",
     "GatherResult",
     "SimilarityGather",
     "TABLE_CACHE_MAX_ENTRIES",
@@ -50,16 +54,10 @@ TABLE_CACHE_MAX_ENTRIES = 64
 """Upper bound on cached tile plans per gather engine.
 
 A forward pass needs at most ``ceil(tokens / m_tile)`` plans per
-token set, so 64 comfortably covers every model in the zoo while
-keeping a long-lived gather (streaming service, benchmark loop) at
-bounded memory."""
-
-BATCH_PLAN_CACHE_MAX_ENTRIES = 16
-"""Upper bound on cached *batch* tile plans (stacked tables + merged
-wavefront schedules).  A batched pass sees at most a handful of
-distinct per-lane layout combinations (one per semantic-pruning
-event), so a small LRU covers a whole pass while keeping the larger
-stacked index arrays at bounded memory."""
+token set, and a pass sees one token set per semantic-pruning event,
+so 64 comfortably covers every model in the zoo while keeping a
+long-lived gather (streaming service, benchmark loop) at bounded
+memory."""
 
 
 @dataclass
@@ -67,34 +65,17 @@ class TilePlan:
     """Token-set-dependent (value-independent) state of one m-tile.
 
     Attributes:
-        table: ``(rows, n_offsets)`` local partner indices.
+        table: ``(S, rows, n_offsets)`` local partner indices, one
+            table per lane (``S = 1`` for a single sample; lanes may
+            differ after semantic pruning diverges their layouts).
         schedule: :func:`~repro.core.matching.build_level_groups` of
-            the table — the wavefront matcher's per-level index
-            structures, ready for batched matching.  ``None`` for a
-            reference-mode gather, which never reads them (keeping
-            the A/B arm's timings honest).
+            the lanes' :func:`~repro.core.matching.block_diagonal`
+            table — the wavefront matcher's per-level index structures
+            for the whole stack.
     """
 
     table: np.ndarray
-    schedule: tuple[LevelGroup, ...] | None
-
-
-@dataclass
-class BatchTilePlan:
-    """Stacked token-set-dependent state of one m-tile, per lane.
-
-    Attributes:
-        tables: ``(S, rows, n_offsets)`` per-lane partner tables
-            (stacked :attr:`TilePlan.table`; lanes may differ after
-            semantic pruning diverges their layouts).
-        schedule: Merged wavefront schedule
-            (:func:`~repro.core.matching.build_batch_schedule`), with
-            each level padded to the widest lane.  ``None`` in
-            reference mode.
-    """
-
-    tables: np.ndarray
-    schedule: tuple[BatchLevelGroup, ...] | None
+    schedule: tuple[LevelGroup, ...]
 
 
 @dataclass
@@ -161,132 +142,84 @@ class SimilarityGather:
 
         Args:
             config: Focus hyper-parameters (tile size, block shape,
-                vector length, threshold, matcher implementation).
+                vector length, threshold).
             token_wise: When ``True``, compare whole tokens instead of
                 sub-vectors (the "Ours token-wise" ablation of
                 Fig. 2(c)).
         """
         self.config = config
         self.token_wise = token_wise
-        self.matcher = SimilarityMatcher(
-            config.similarity_threshold, mode=config.matcher
-        )
+        self.matcher = SimilarityMatcher(config.similarity_threshold)
         self._table_cache: OrderedDict[tuple, TilePlan] = OrderedDict()
-        self._batch_plan_cache: OrderedDict[tuple, BatchTilePlan] = (
-            OrderedDict()
-        )
-        self._current_cache_token: object | None = None
-
-    def _neighbor_table(
-        self,
-        positions: np.ndarray,
-        is_text: np.ndarray,
-        grid: tuple[int, int, int],
-        tile: tuple[int, int],
-        cache_token: object | None,
-    ) -> np.ndarray:
-        """Partner table for the rows of one tile (see :meth:`_tile_plan`)."""
-        return self._tile_plan(
-            positions, is_text, grid, tile, cache_token
-        ).table
 
     def _tile_plan(
         self,
-        positions: np.ndarray,
-        is_text: np.ndarray,
+        lane_positions: list[np.ndarray],
+        lane_text: list[np.ndarray],
         grid: tuple[int, int, int],
         tile: tuple[int, int],
-        cache_token: object | None,
-        evict_stale: bool = True,
+        lane_tokens: list,
     ) -> TilePlan:
-        """Partner table + wavefront levels for the rows of one tile.
+        """Stacked partner tables + wavefront schedule for one tile.
 
-        Text rows receive no partners.  Plans are cached per
-        ``(cache_token, tile)`` because the token set only changes at
-        semantic-pruning layers.  The cache is bounded: entries from
-        stale cache tokens are evicted when a new token arrives (token
-        sets only move forward through a pass), and an LRU cap of
-        :data:`TABLE_CACHE_MAX_ENTRIES` guards against pathological
-        token churn, so memory stays flat across arbitrarily many
-        samples.
-
-        ``evict_stale=False`` switches to pure LRU: batched gathers
-        interleave content-addressed layout tokens (one per lane
-        group) within a single pass, so "token changed" no longer
-        means "older tokens are dead" — evicting on change would
-        rebuild every plan at every site.
+        Plans are cached per ``(lane tokens, tile)`` when every lane
+        has a token, under an LRU cap of
+        :data:`TABLE_CACHE_MAX_ENTRIES`.  Tokens must be
+        content-addressed (equal tokens mean equal layouts): that is
+        what lets samples and lanes share plans, and lanes with equal
+        tokens share one table build.
         """
-        key = (cache_token, tile)
-        if cache_token is not None and key in self._table_cache:
+        key = (tuple(lane_tokens), tile)
+        cacheable = all(token is not None for token in lane_tokens)
+        if cacheable and key in self._table_cache:
             self._table_cache.move_to_end(key)
             return self._table_cache[key]
 
-        start, stop = tile
-        rows = stop - start
-        tile_text = np.asarray(is_text[start:stop], dtype=bool)
-        image_local = np.nonzero(~tile_text)[0]
-        table = np.full(
-            (rows, max(1, self._num_offsets())), -1, dtype=np.int64
+        built: dict = {}
+        tables = []
+        for positions, is_text, token in zip(
+            lane_positions, lane_text, lane_tokens
+        ):
+            table = built.get(token)
+            if table is None:
+                table = self._lane_table(positions, is_text, grid, tile)
+                if token is not None:
+                    built[token] = table
+            tables.append(table)
+        table = np.stack(tables)
+        plan = TilePlan(
+            table=table, schedule=build_level_groups(block_diagonal(table))
         )
-        if image_local.size:
-            image_positions = positions[start:stop][image_local]
-            image_table = build_neighbor_table(
-                image_positions, grid, self._block()
-            )
-            remap = image_local  # local-image index -> tile-row index
-            expanded = np.where(image_table >= 0, remap[image_table], -1)
-            table[image_local, : expanded.shape[1]] = expanded
-        schedule = (
-            build_level_groups(table)
-            if self.matcher.mode == "wavefront" else None
-        )
-        plan = TilePlan(table=table, schedule=schedule)
-
-        if cache_token is not None:
-            if evict_stale and cache_token != self._current_cache_token:
-                stale = [
-                    k for k in self._table_cache if k[0] != cache_token
-                ]
-                for k in stale:
-                    del self._table_cache[k]
-                self._current_cache_token = cache_token
+        if cacheable:
             self._table_cache[key] = plan
             while len(self._table_cache) > TABLE_CACHE_MAX_ENTRIES:
                 self._table_cache.popitem(last=False)
         return plan
 
-    def _batch_tile_plan(
+    def _lane_table(
         self,
-        plans: list[TilePlan],
-        batch_key: tuple | None,
+        positions: np.ndarray,
+        is_text: np.ndarray,
+        grid: tuple[int, int, int],
         tile: tuple[int, int],
-    ) -> BatchTilePlan:
-        """Stacked tables + merged wavefront schedule for one tile.
-
-        ``batch_key`` is the tuple of per-lane cache tokens (or
-        ``None`` when any lane is uncacheable).  Keyed on
-        ``(batch_key, tile)`` under pure LRU — one batched pass only
-        ever sees a handful of layout combinations, so the merged
-        schedules are built once per combination, not once per site.
-        """
-        key = None if batch_key is None else (batch_key, tile)
-        if key is not None and key in self._batch_plan_cache:
-            self._batch_plan_cache.move_to_end(key)
-            return self._batch_plan_cache[key]
-
-        tables = np.stack([plan.table for plan in plans])
-        schedule = (
-            build_batch_schedule(
-                tables, tuple(plan.schedule for plan in plans)
-            )
-            if self.matcher.mode == "wavefront" else None
+    ) -> np.ndarray:
+        """Partner table for the rows of one tile of one lane; text
+        rows receive no partners."""
+        start, stop = tile
+        image_local = np.nonzero(~is_text[start:stop])[0]
+        table = np.full(
+            (stop - start, max(1, self._num_offsets())), -1, dtype=np.int64
         )
-        batch_plan = BatchTilePlan(tables=tables, schedule=schedule)
-        if key is not None:
-            self._batch_plan_cache[key] = batch_plan
-            while len(self._batch_plan_cache) > BATCH_PLAN_CACHE_MAX_ENTRIES:
-                self._batch_plan_cache.popitem(last=False)
-        return batch_plan
+        if image_local.size:
+            image_table = build_neighbor_table(
+                positions[start:stop][image_local], grid, self._block()
+            )
+            # local-image index -> tile-row index
+            expanded = np.where(
+                image_table >= 0, image_local[image_table], -1
+            )
+            table[image_local, : expanded.shape[1]] = expanded
+        return table
 
     def _block(self) -> tuple[int, int, int]:
         cfg = self.config
@@ -303,7 +236,8 @@ class SimilarityGather:
         grid: tuple[int, int, int],
         cache_token: object | None = None,
     ) -> GatherResult:
-        """Concentrate a GEMM input matrix.
+        """Concentrate a GEMM input matrix: one lane of
+        :meth:`gather_batch`.
 
         Args:
             x: Input of shape ``(tokens, k)`` in token-stream order.
@@ -311,151 +245,70 @@ class SimilarityGather:
                 the sentinel and are skipped).
             is_text: Text mask.
             grid: Full FHW grid of the video.
-            cache_token: Hashable key identifying the current token
-                set; enables tile-plan (neighbor table + wavefront
-                level) reuse across gather sites.
+            cache_token: Content-addressed key of the token layout
+                (see :func:`repro.core.pipeline.layout_digest`);
+                enables tile-plan reuse across gather sites and
+                samples.  ``None`` disables caching.
 
         Returns:
             A :class:`GatherResult`; ``x_approx`` is bit-identical to
             scattering the concentrated GEMM (see
             :mod:`repro.core.scatter`).
         """
-        x = np.asarray(x, dtype=np.float32)
-        num_rows, k = x.shape
-        # Coverage is validated once here, not per tile: every tile
-        # slices these same arrays.
-        positions = np.asarray(positions)
-        is_text = np.asarray(is_text, dtype=bool)
-        if positions.shape[:1] != (num_rows,) or is_text.shape != (num_rows,):
-            raise ValueError(
-                "positions and is_text must cover every row of x"
-            )
-        vector_size = k if self.token_wise else min(self.config.vector_size, k)
-        blocks = self.matcher.split_blocks(x, vector_size)
-        num_blocks = blocks.shape[1]
-        # L2 norms once for the whole matrix; per-tile slices are
-        # bit-identical to per-tile recomputation (the norm reduces
-        # over the contiguous v axis row by row).
-        norms = np.linalg.norm(blocks, axis=2)
-
-        reps_global = np.tile(
-            np.arange(num_rows, dtype=np.int64), (num_blocks, 1)
-        )
-        tile_lengths: list[int] = []
-        tile_rows: list[int] = []
-        comparisons = 0
-        m_tile = self.config.m_tile
-        for start in range(0, num_rows, m_tile):
-            stop = min(start + m_tile, num_rows)
-            plan = self._tile_plan(
-                positions, is_text, grid, (start, stop), cache_token
-            )
-            outcome = self.matcher.match_tile(
-                blocks[start:stop], plan.table,
-                norms=norms[start:stop], schedule=plan.schedule,
-            )
-            reps_global[:, start:stop] = outcome.reps + start
-            counts = outcome.unique_counts()
-            tile_lengths.extend(int(c) for c in counts)
-            tile_rows.extend([stop - start] * len(counts))
-            comparisons += outcome.comparisons
-
-        unique_total = sum(tile_lengths)
-        total_vectors = num_rows * num_blocks
-        map_bits = total_vectors * max(
-            1, int(np.ceil(np.log2(max(2, min(m_tile, num_rows)))))
-        )
-
-        # One fancy-indexed scatter assembles x_approx: column c takes
-        # its value from row reps_global[block(c), :].
-        col_block = np.repeat(np.arange(num_blocks), vector_size)[:k]
-        x_approx = x[reps_global[col_block, :].T, np.arange(k)[None, :]]
-
-        return GatherResult(
-            x_approx=x_approx,
-            reps=reps_global,
-            vector_size=vector_size,
-            unique_total=unique_total,
-            total_vectors=total_vectors,
-            tile_lengths=tile_lengths,
-            tile_rows=tile_rows,
-            map_bits=map_bits,
-            comparisons=comparisons,
-        )
+        return self.gather_batch(
+            np.asarray(x, dtype=np.float32)[None], [positions], [is_text],
+            grid, [cache_token],
+        ).per_sample[0]
 
     def gather_batch(
         self,
         x_stack: np.ndarray,
-        positions: "np.ndarray | list[np.ndarray]",
-        is_text: "np.ndarray | list[np.ndarray]",
+        positions: "list[np.ndarray]",
+        is_text: "list[np.ndarray]",
         grid: tuple[int, int, int],
-        cache_token: "object | list | tuple | None" = None,
+        cache_token: "list | None" = None,
     ) -> BatchGatherResult:
         """Concentrate one GEMM input across a stack of samples.
 
         ``x_stack`` is ``(S, tokens, k)`` — the inputs of ``S`` samples
-        stacked along a leading axis.  ``positions``/``is_text`` may be
-        single shared arrays (all lanes on one layout) or per-lane
-        sequences: lanes whose layouts diverged after semantic pruning
-        still run as *one* stacked pass, because
-        :meth:`~repro.core.matching.SimilarityMatcher.match_tile_batch`
-        takes the stacked per-lane tables and a merged, padded
-        wavefront schedule.  Per-sample slices of the result — values
-        and statistics — are bit-identical to :meth:`gather` on each
-        slice with its own layout.
-
-        ``cache_token`` (one token, or a per-lane sequence) should be
-        *content-addressed* layout keys (batched callers pass layout
-        digests), because layouts interleave within one pass; plans
-        are kept under pure LRU rather than stale-token eviction.
+        stacked along a leading axis; ``positions``, ``is_text`` and
+        ``cache_token`` hold one entry per lane (``cache_token=None``
+        caches nothing).  Lanes whose layouts diverged after semantic
+        pruning still run as *one* pass, because each tile of the
+        stack is matched as one block-diagonal tile.  Per-sample
+        slices of the result — values and statistics — are
+        bit-identical to a gather of each slice alone with its own
+        layout.  Cache tokens must be content-addressed layout keys,
+        as for :meth:`gather`.
         """
         x_stack = np.asarray(x_stack, dtype=np.float32)
         num_samples, num_rows, k = x_stack.shape
-        if isinstance(positions, np.ndarray) and positions.ndim == 2:
-            lane_positions = [np.asarray(positions)] * num_samples
-        else:
-            lane_positions = [np.asarray(p) for p in positions]
-        if isinstance(is_text, np.ndarray) and is_text.ndim == 1:
-            lane_text = [np.asarray(is_text, dtype=bool)] * num_samples
-        else:
-            lane_text = [np.asarray(t, dtype=bool) for t in is_text]
-        if isinstance(cache_token, (list, tuple)):
-            lane_tokens = list(cache_token)
-        else:
-            lane_tokens = [cache_token] * num_samples
+        lane_positions = [np.asarray(p) for p in positions]
+        lane_text = [np.asarray(t, dtype=bool) for t in is_text]
+        lane_tokens = (
+            [None] * num_samples if cache_token is None else list(cache_token)
+        )
         if not (
             len(lane_positions) == len(lane_text) == len(lane_tokens)
             == num_samples
         ):
             raise ValueError("per-lane layouts must cover every sample")
+        # Coverage is validated once here, not per tile: every tile
+        # slices these same arrays.
         for pos, text in zip(lane_positions, lane_text):
             if pos.shape[:1] != (num_rows,) or text.shape != (num_rows,):
                 raise ValueError(
                     "positions and is_text must cover every row of x"
                 )
-        batch_key = (
-            tuple(lane_tokens) if all(
-                token is not None for token in lane_tokens
-            ) else None
-        )
         vector_size = k if self.token_wise else min(self.config.vector_size, k)
-        # Zero-pad and split every sample at once; each slice matches
-        # split_blocks on that sample (same pad, same copy).  When k
-        # divides evenly there is no padding, so the reshape is a
-        # copy-free view with the very same values.
-        v = vector_size if vector_size > 0 else k
-        v = min(v, k)
-        num_blocks = -(-k // v)
-        if num_blocks * v == k:
-            blocks = x_stack.reshape(num_samples, num_rows, num_blocks, v)
-        else:
-            padded = np.zeros(
-                (num_samples, num_rows, num_blocks * v), dtype=np.float32
-            )
-            padded[:, :, :k] = x_stack
-            blocks = padded.reshape(num_samples, num_rows, num_blocks, v)
-        # The norm reduces over the contiguous v axis row by row, so
-        # the stacked reduction equals each sample's own.
+        flat = self.matcher.split_blocks(
+            x_stack.reshape(num_samples * num_rows, k), vector_size
+        )
+        blocks = flat.reshape((num_samples, num_rows) + flat.shape[1:])
+        num_blocks = blocks.shape[2]
+        # L2 norms once for the whole stack; the norm reduces over the
+        # contiguous v axis row by row, so per-tile slices are
+        # bit-identical to per-tile recomputation.
         norms = np.linalg.norm(blocks, axis=3)
 
         reps_global = np.tile(
@@ -468,23 +321,18 @@ class SimilarityGather:
         m_tile = self.config.m_tile
         for start in range(0, num_rows, m_tile):
             stop = min(start + m_tile, num_rows)
-            plans = [
-                self._tile_plan(
-                    lane_positions[s], lane_text[s], grid, (start, stop),
-                    lane_tokens[s], evict_stale=False,
-                )
-                for s in range(num_samples)
-            ]
-            batch_plan = self._batch_tile_plan(plans, batch_key, (start, stop))
+            plan = self._tile_plan(
+                lane_positions, lane_text, grid, (start, stop), lane_tokens
+            )
             outcome = self.matcher.match_tile_batch(
-                blocks[:, start:stop], batch_plan.tables,
-                norms=norms[:, start:stop], schedule=batch_plan.schedule,
+                blocks[:, start:stop], plan.table,
+                norms=norms[:, start:stop], schedule=plan.schedule,
             )
             reps_global[:, :, start:stop] = outcome.reps + start
-            counts = outcome.unique_counts()            # (S, B)
+            counts = outcome.unique_counts().tolist()   # (S, B)
             for s in range(num_samples):
-                tile_lengths[s].extend(int(c) for c in counts[s])
-                tile_rows[s].extend([stop - start] * counts.shape[1])
+                tile_lengths[s].extend(counts[s])
+                tile_rows[s].extend([stop - start] * num_blocks)
             comparisons += outcome.comparisons
 
         total_vectors = num_rows * num_blocks
@@ -492,13 +340,18 @@ class SimilarityGather:
             1, int(np.ceil(np.log2(max(2, min(m_tile, num_rows)))))
         )
 
-        col_block = np.repeat(np.arange(num_blocks), vector_size)[:k]
-        row_pick = reps_global[:, col_block, :].transpose(0, 2, 1)
-        x_approx = x_stack[
+        # One fancy-indexed gather assembles x_approx: k-block b of
+        # row i takes k-block b of row reps_global[b, i], copied as one
+        # v-wide vector rather than column by column.
+        picked = blocks[
             np.arange(num_samples)[:, None, None],
-            row_pick,
-            np.arange(k)[None, None, :],
-        ]
+            reps_global.transpose(0, 2, 1),
+            np.arange(num_blocks)[None, None, :],
+        ].reshape(num_samples, num_rows, num_blocks * blocks.shape[3])
+        x_approx = (
+            picked if picked.shape[2] == k
+            else np.ascontiguousarray(picked[:, :, :k])
+        )
 
         per_sample = [
             GatherResult(

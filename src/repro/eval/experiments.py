@@ -47,22 +47,16 @@ Results = Mapping[EvalJob, Any]
 
 
 def _base_config(
-    matcher: str | None = None,
     forward_batch: int | None = None,
     **overrides: object,
 ) -> FocusConfig:
     """Per-experiment :class:`FocusConfig` derived from the default.
 
-    ``matcher`` is the CLI-level A/B escape hatch (``--matcher``):
-    ``None`` keeps the config default (wavefront), ``"reference"``
-    re-runs the experiment on the retained serial matcher.  Every plan
-    factory accepts it so one flag switches an entire schedule.
-    ``forward_batch`` is the same escape hatch for ``--forward-batch``:
+    ``forward_batch`` is the CLI-level ``--forward-batch`` knob:
     ``None`` keeps the config default (serial, batch size 1); larger
-    values stack same-shape samples into one tensorized pass.
+    values stack same-shape samples into one tensorized pass.  Every
+    plan factory accepts it so one flag switches an entire schedule.
     """
-    if matcher is not None:
-        overrides["matcher"] = matcher
     if forward_batch is not None:
         overrides["forward_batch"] = forward_batch
     if not overrides:
@@ -124,14 +118,13 @@ def plan_table2(
     methods: tuple[str, ...] = TABLE2_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table II: accuracy and sparsity of all methods."""
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=_base_config(forward_batch))
         for model in models
         for dataset in datasets
         for method in methods
@@ -178,7 +171,7 @@ _TABLE3_ARCHS = (
 
 @register("table3", "architecture config comparison (Table III)")
 def plan_table3(
-    num_samples: int = 2, seed: int = 0, matcher: str | None = None,
+    num_samples: int = 2, seed: int = 0,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table III: per-architecture config, area and power.
@@ -189,7 +182,7 @@ def plan_table3(
     jobs = {
         method: EvalJob(model="llava-video", dataset="videomme",
                         method=method, num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=_base_config(forward_batch))
         for _, method in _TABLE3_ARCHS
     }
 
@@ -235,7 +228,6 @@ def plan_table4(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table IV: INT8 impact on accuracy and sparsity.
@@ -251,7 +243,7 @@ def plan_table4(
         (model, dataset, method, quant): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed, quantized=quant,
-            config=_base_config(matcher, forward_batch),
+            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -304,7 +296,6 @@ def plan_table5(
     datasets: tuple[str, ...] = IMAGE_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table V: single-image VLMs (one-frame videos)."""
@@ -314,7 +305,7 @@ def plan_table5(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -367,7 +358,6 @@ def plan_fig2b(
     vector_sizes: tuple[int, ...] = (8, 16, 32, 64, 96, 192),
     num_samples: int = 3,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(b): finer vectors expose more redundancy.
@@ -380,7 +370,7 @@ def plan_fig2b(
     job = EvalJob(
         model=model_name, dataset=dataset, method="similarity-capture",
         num_samples=num_samples, seed=seed, kind="fig2b",
-        config=_base_config(matcher, forward_batch),
+        config=_base_config(forward_batch),
         extra=(("vector_sizes", tuple(vector_sizes)),
                ("threshold", threshold)),
         provider="repro.eval.similarity_stats",
@@ -416,7 +406,6 @@ def plan_fig2c(
     dataset: str = "videomme",
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(c): vector-wise beats token-wise and baselines."""
@@ -424,7 +413,7 @@ def plan_fig2c(
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=_base_config(forward_batch))
         for method in methods
     )
 
@@ -475,7 +464,6 @@ def plan_fig9(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 9: speedup and energy vs all baselines."""
@@ -484,7 +472,7 @@ def plan_fig9(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -494,7 +482,7 @@ def plan_fig9(
     # which the engine's dedupe collapses for free.
     power_job = EvalJob(model="llava-video", dataset="videomme",
                         method="focus", num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=_base_config(forward_batch))
 
     def assemble(results: Results) -> Fig9Result:
         result = Fig9Result()
@@ -607,7 +595,6 @@ def plan_fig10a(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(a): GEMM m-tile size vs latency and buffer demand.
@@ -620,7 +607,7 @@ def plan_fig10a(
     jobs = {}
     for m_tile in m_tiles:
         effective = m_tile if m_tile > 0 else 1 << 20
-        config = _base_config(matcher, forward_batch, m_tile=effective)
+        config = _base_config(forward_batch, m_tile=effective)
         jobs[m_tile] = EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed, config=config,
@@ -657,7 +644,6 @@ def plan_fig10b(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(b): vector size vs array MACs and accumulator ops."""
@@ -665,7 +651,7 @@ def plan_fig10b(
         v: EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch, vector_size=v, n_tile=v),
+            config=_base_config(forward_batch, vector_size=v, n_tile=v),
         )
         for v in vector_sizes
     }
@@ -700,7 +686,6 @@ def plan_fig10c(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(c): SIC block size (f, h, w) vs latency."""
@@ -709,7 +694,7 @@ def plan_fig10c(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
             config=_base_config(
-                matcher, forward_batch,
+                forward_batch,
                 block_frames=bf, block_height=bh, block_width=bw
             ),
         )
@@ -745,7 +730,6 @@ def plan_fig10d(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(d): scatter accumulator count vs latency.
@@ -756,7 +740,7 @@ def plan_fig10d(
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
                   num_samples=num_samples, seed=seed,
-                  config=_base_config(matcher, forward_batch))
+                  config=_base_config(forward_batch))
 
     def assemble(results: Results) -> list[SweepPoint]:
         cell = results[job]
@@ -803,7 +787,6 @@ def plan_fig11(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 11: SEC-only and SEC+SIC vs SA and CMC."""
@@ -811,7 +794,7 @@ def plan_fig11(
     jobs = {
         method: EvalJob(model=model, dataset=dataset, method=method,
                         num_samples=num_samples, seed=seed,
-                        config=_base_config(matcher, forward_batch))
+                        config=_base_config(forward_batch))
         for method in methods
     }
 
@@ -864,7 +847,6 @@ def plan_fig12(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 12: DRAM access and activation size ratios."""
@@ -872,7 +854,7 @@ def plan_fig12(
         (model, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(matcher, forward_batch),
+            config=_base_config(forward_batch),
         )
         for model in models
         for method, _ in _FIG12_METHODS
@@ -935,7 +917,6 @@ def plan_fig13(
     seed: int = 0,
     bins: int = 24,
     paper_tile_rows: int = 1024,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 13: tile-length histogram and array utilization.
@@ -947,7 +928,7 @@ def plan_fig13(
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
                   num_samples=num_samples, seed=seed,
-                  config=_base_config(matcher, forward_batch))
+                  config=_base_config(forward_batch))
 
     def assemble(results: Results) -> Fig13Result:
         merged = results[job].merged_trace
@@ -1006,7 +987,6 @@ def plan_scenario(
     methods: tuple[str, ...] = SCENARIO_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    matcher: str | None = None,
     forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Evaluate one generative scenario family.
@@ -1023,7 +1003,7 @@ def plan_scenario(
     jobs = tuple(
         EvalJob(model=model, dataset=spec.name, method=method,
                 num_samples=num_samples, seed=seed,
-                config=_base_config(matcher, forward_batch))
+                config=_base_config(forward_batch))
         for method in methods
     )
 

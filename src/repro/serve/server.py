@@ -6,7 +6,7 @@ their live event streams out to any number of clients:
 
 ``POST /runs``
     Launch a run.  JSON body: ``{"experiments": ["table2", ...],
-    "samples": N, "seed": S, "matcher": "wavefront",
+    "samples": N, "seed": S, "scenario": SPEC,
     "on_error": "raise"|"collect"}`` (everything but ``experiments``
     optional).  ``on_error: "collect"`` selects partial-results mode:
     jobs that permanently fail (see :mod:`repro.engine.faults`) cost
@@ -82,8 +82,12 @@ from repro.serve.http import (
 from repro.store.runstore import DEFAULT_STORE_PATH, RunStore
 
 DEFAULT_PORT = 8377
-MAX_BODY_BYTES = 1 << 30
-"""Request-body ceiling; ``POST /jobs`` carries a pickled job batch,
+MAX_BODY_BYTES = 64 << 20
+"""Request-body ceiling (64 MiB); larger bodies get ``413`` before they
+are read.  The largest body is a ``POST /jobs`` batch of pickled job
+keys, about 144 bytes per job (the 103 evaluation jobs of ``all
+--samples 1`` encode to 14,813 bytes), so 64 MiB holds some 460k jobs
+while one request can no longer make the server buffer a gigabyte;
 everything else is small JSON."""
 DEFAULT_RING_SIZE = 65536
 DEFAULT_MAX_FINISHED_RUNS = 256
@@ -312,8 +316,6 @@ class ServeApp:
             raise HttpError(
                 400, f"'samples'/'seed' must be integers: {exc}"
             ) from None
-        if spec.get("matcher") is not None:
-            params["matcher"] = str(spec["matcher"])
         if spec.get("scenario") is not None:
             if list(names) != ["scenario"]:
                 raise HttpError(

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.config import FocusConfig
+from repro.core.matching import SimilarityMatcher
 from repro.model.embedding import Codebooks, SubspaceLayout
 from repro.model.spec import ModelConfig
 from repro.model.vlm import SyntheticVLM
@@ -35,6 +38,31 @@ def empty_sample_memo():
     monkeypatched generators would depend on test order.
     """
     clear_sample_memo()
+
+
+@pytest.fixture
+def reference_matcher(monkeypatch):
+    """Context manager that routes every wavefront matcher call —
+    per-sample and block-diagonal batched alike — through
+    ``match_tile_reference``, the row-at-a-time oracle.  It yields the
+    list of oracle calls, so a test can check that the swap took."""
+
+    @contextlib.contextmanager
+    def swap():
+        calls = []
+
+        def reference(self, blocks, neighbor_table, levels=None,
+                      norms=None, schedule=None):
+            calls.append(blocks.shape[0])
+            return self.match_tile_reference(blocks, neighbor_table, norms)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SimilarityMatcher, "match_tile_wavefront", reference
+            )
+            yield calls
+
+    return swap
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,11 @@ from repro.config import FocusConfig
 from repro.core.batched import (
     BATCH_METHOD_REGISTRY,
     bucket_samples,
-    layout_digest,
     make_batch_plugin,
 )
 from repro.core.gather import SimilarityGather
-from repro.core.matching import SimilarityMatcher, build_batch_schedule
+from repro.core.matching import SimilarityMatcher
+from repro.core.pipeline import layout_digest
 from repro.engine import EvalJob, ExperimentEngine, config_digest
 from repro.eval.runner import (
     ModelCache,
@@ -133,22 +133,12 @@ class TestMatcherDifferential:
     @settings(max_examples=30, deadline=None)
     def test_reference_mode_oracle(self, batch):
         blocks, tables, threshold = batch
-        ref = SimilarityMatcher(threshold, mode="reference")
-        wav = SimilarityMatcher(threshold)
-        a = ref.match_tile_batch(blocks, tables)
-        b = wav.match_tile_batch(blocks, tables)
-        np.testing.assert_array_equal(a.reps, b.reps)
-        np.testing.assert_array_equal(a.comparisons, b.comparisons)
-
-    @given(random_batch_tiles())
-    @settings(max_examples=30, deadline=None)
-    def test_batch_schedule_rows_partition_per_lane(self, batch):
-        _, tables, _ = batch
-        for group in build_batch_schedule(tables):
-            # Padded slots are all-invalid; real slots carry at least
-            # one valid partner (rows without partners never schedule).
-            real = group.valid4[:, :, :, 0].any(axis=2)
-            assert group.rows[~real].sum() == 0
+        matcher = SimilarityMatcher(threshold)
+        outcome = matcher.match_tile_batch(blocks, tables)
+        for s in range(blocks.shape[0]):
+            ref = matcher.match_tile_reference(blocks[s], tables[s])
+            np.testing.assert_array_equal(outcome.reps[s], ref.reps)
+            assert int(outcome.comparisons[s]) == ref.comparisons
 
     def test_stacked_table_validation(self):
         matcher = SimilarityMatcher(0.9)
@@ -235,12 +225,12 @@ class TestGatherDifferential:
             x, [positions] * 2, [is_text] * 2, grid,
             cache_token=["a", "a"],
         )
-        assert len(engine._batch_plan_cache) == 1
+        assert len(engine._table_cache) == 1
         engine.gather_batch(
             x, [positions] * 2, [is_text] * 2, grid,
             cache_token=["a", "a"],
         )
-        assert len(engine._batch_plan_cache) == 1
+        assert len(engine._table_cache) == 1
 
 
 MODEL = "llava-video"
@@ -288,12 +278,19 @@ class TestEvalParity:
         assert batched == serial
 
     def test_unsupported_method_falls_back_to_serial(self):
+        # dense has a stacked forward but runs faster per sample, so
+        # it is left out of the registry on purpose.
         model = ModelCache.get(MODEL)
-        assert "framefusion" not in BATCH_METHOD_REGISTRY
-        assert make_batch_plugin("framefusion", model) is None
-        serial = self._eval("framefusion", False, 1)
-        batched = self._eval("framefusion", False, 4)
-        assert batched == serial
+        for method, quantized in (
+            ("framefusion", False), ("dense", False), ("dense", True),
+        ):
+            assert method not in BATCH_METHOD_REGISTRY
+            assert make_batch_plugin(
+                method, model, quantized=quantized
+            ) is None
+            serial = self._eval(method, quantized, 1)
+            batched = self._eval(method, quantized, 4)
+            assert batched == serial, method
 
     def test_ragged_batches_split_into_shape_buckets(self):
         model = ModelCache.get(MODEL)

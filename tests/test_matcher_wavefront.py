@@ -20,7 +20,6 @@ from repro.config import FocusConfig
 from repro.core.blocks import build_neighbor_table
 from repro.core.gather import SimilarityGather
 from repro.core.matching import (
-    MATCHER_MODES,
     SimilarityMatcher,
     level_schedule,
     partner_levels,
@@ -129,7 +128,7 @@ class TestDifferential:
         np.testing.assert_array_equal(wav.reps, ref.reps)
         assert wav.comparisons == ref.comparisons
 
-    def test_gather_parity_across_modes(self, rng):
+    def test_gather_parity_across_modes(self, rng, reference_matcher):
         """Whole-gather parity: tiles, text rows, caching, x_approx."""
         grid = (3, 4, 4)
         positions = np.array([
@@ -147,14 +146,16 @@ class TestDifferential:
         x = rng.standard_normal((n_image + n_text, 24)).astype(np.float32)
         x[8:16] = x[0:8]  # duplicate rows so matching happens
 
-        results = {}
-        for mode in MATCHER_MODES:
-            config = FocusConfig(vector_size=8, m_tile=16, matcher=mode)
-            engine = SimilarityGather(config)
-            results[mode] = engine.gather(
+        def gather():
+            engine = SimilarityGather(FocusConfig(vector_size=8, m_tile=16))
+            return engine.gather(
                 x, positions, is_text, grid, cache_token="tok"
             )
-        ref, wav = results["reference"], results["wavefront"]
+
+        wav = gather()
+        with reference_matcher() as calls:
+            ref = gather()
+        assert calls  # the oracle really ran
         np.testing.assert_array_equal(wav.reps, ref.reps)
         np.testing.assert_array_equal(wav.x_approx, ref.x_approx)
         assert wav.tile_lengths == ref.tile_lengths
@@ -209,20 +210,20 @@ class TestValidation:
             np.ones((3, 8), dtype=np.float32), 4
         )
         bad = np.array([[-1], [2], [-1]], dtype=np.int64)  # 2 >= 1
-        for mode in MATCHER_MODES:
-            matcher = SimilarityMatcher(0.9, mode=mode)
+        matcher = SimilarityMatcher(0.9)
+        for match in (matcher.match_tile, matcher.match_tile_reference):
             with pytest.raises(ValueError, match="precede"):
-                matcher.match_tile(blocks, bad)
+                match(blocks, bad)
 
     def test_tile_coverage_check(self):
         blocks = SimilarityMatcher.split_blocks(
             np.ones((3, 8), dtype=np.float32), 4
         )
         short = np.full((2, 1), -1, dtype=np.int64)
-        for mode in MATCHER_MODES:
-            matcher = SimilarityMatcher(0.9, mode=mode)
+        matcher = SimilarityMatcher(0.9)
+        for match in (matcher.match_tile, matcher.match_tile_reference):
             with pytest.raises(ValueError, match="cover"):
-                matcher.match_tile(blocks, short)
+                match(blocks, short)
 
     def test_gather_validates_coverage_once(self, rng):
         config = FocusConfig(vector_size=4)
@@ -243,12 +244,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="precede"):
             partner_levels(np.array([[1], [0]], dtype=np.int64))
 
-    def test_unknown_matcher_mode_rejected(self):
-        with pytest.raises(ValueError, match="matcher"):
-            FocusConfig(matcher="bogus")
-        with pytest.raises(ValueError, match="mode"):
-            SimilarityMatcher(0.9, mode="bogus")
-
 
 ZOO_PARITY = (
     ("llava-video", "videomme"),
@@ -260,23 +255,20 @@ PARITY_ARMS = ("focus", "focus-token", "dense")
 
 class TestForwardParity:
     """End-to-end: a full forward pass is trace-for-trace identical
-    under either matcher implementation."""
+    when every tile runs through the reference oracle instead."""
 
     @pytest.mark.parametrize("model_name,dataset", ZOO_PARITY)
     @pytest.mark.parametrize("method", PARITY_ARMS)
-    def test_zoo_forward_trace_parity(self, model_name, dataset, method):
+    def test_zoo_forward_trace_parity(
+        self, model_name, dataset, method, reference_matcher
+    ):
         model = ModelCache.get(model_name)
         sample, = make_dataset_span(
             dataset, model.config.layout, 0, 1, seed=0
         )
-        outcomes = {}
-        for mode in MATCHER_MODES:
-            plugin = make_plugin(
-                method, model, FocusConfig(matcher=mode)
-            )
-            outcomes[mode] = model.forward(sample, plugin)
-        ref = outcomes["reference"]
-        wav = outcomes["wavefront"]
+        wav = model.forward(sample, make_plugin(method, model))
+        with reference_matcher():
+            ref = model.forward(sample, make_plugin(method, model))
         assert wav.predicted_index == ref.predicted_index
         assert wav.correct == ref.correct
         assert wav.final_tokens == ref.final_tokens

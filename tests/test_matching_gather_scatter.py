@@ -150,16 +150,6 @@ class TestTableCacheBound:
         is_text = np.zeros(tokens, dtype=bool)
         return x, positions, is_text, grid
 
-    def test_stale_cache_tokens_evicted(self):
-        engine = SimilarityGather(FocusConfig(vector_size=4))
-        x, positions, is_text, grid = self._inputs()
-        for token in range(200):
-            engine.gather(x, positions, is_text, grid,
-                          cache_token=("sample", token))
-        assert len(engine._table_cache) <= TABLE_CACHE_MAX_ENTRIES
-        # Only the most recent token's tables survive.
-        assert {k[0] for k in engine._table_cache} == {("sample", 199)}
-
     def test_lru_cap_within_one_token(self):
         # 200 tokens at m_tile=2 is 100 tiles — more than the cap.
         engine = SimilarityGather(FocusConfig(vector_size=4, m_tile=2))
@@ -170,11 +160,11 @@ class TestTableCacheBound:
     def test_tables_reused_within_token(self):
         engine = SimilarityGather(FocusConfig(vector_size=4))
         x, positions, is_text, grid = self._inputs()
-        first = engine._neighbor_table(
-            positions, is_text, grid, (0, 18), "tok"
+        first = engine._tile_plan(
+            [positions], [is_text], grid, (0, 18), ["tok"]
         )
-        second = engine._neighbor_table(
-            positions, is_text, grid, (0, 18), "tok"
+        second = engine._tile_plan(
+            [positions], [is_text], grid, (0, 18), ["tok"]
         )
         assert first is second
 

@@ -175,3 +175,41 @@ class TestFocusPlugin:
                     tiny_model_config.num_layers):
             plugin = FocusPlugin(arg, FocusConfig())
             assert plugin.sec.num_layers == tiny_model_config.num_layers
+
+    def test_plans_shared_only_between_equal_layouts(
+        self, tiny_model, tiny_samples, tiny_focus_config, monkeypatch
+    ):
+        """One plugin over many samples: a tile plan built for one
+        sample serves another with the same layout, and is never served
+        to a different layout (even one at the same token-set version)."""
+        from repro.core.gather import SimilarityGather
+
+        served = []
+        build = SimilarityGather._tile_plan
+
+        def checked(self, positions, is_text, grid, tile, tokens):
+            plan = build(self, positions, is_text, grid, tile, tokens)
+            fresh = self._lane_table(positions[0], is_text[0], grid, tile)
+            np.testing.assert_array_equal(plan.table[0], fresh)
+            served.append((tokens[0], tile, id(plan)))
+            return plan
+
+        monkeypatch.setattr(SimilarityGather, "_tile_plan", checked)
+        plugin = FocusPlugin(tiny_model, tiny_focus_config)
+        traces = []
+        layouts = []
+        for sample in tiny_samples[:2]:
+            start = len(served)
+            traces.append(tiny_model.forward(sample, plugin).trace)
+            layouts.append({(t, tile) for t, tile, _ in served[start:]})
+        shared = layouts[0] & layouts[1]
+        assert shared, "equal initial layouts must share plans"
+        assert layouts[1] - layouts[0], "pruned layouts must differ"
+        plans = {}
+        for token, tile, plan_id in served:
+            assert plans.setdefault((token, tile), plan_id) == plan_id
+        # Shared plans change nothing: each sample's trace equals the
+        # one a fresh plugin produces for it alone.
+        for sample, trace in zip(tiny_samples[:2], traces):
+            fresh = FocusPlugin(tiny_model, tiny_focus_config)
+            assert tiny_model.forward(sample, fresh).trace == trace

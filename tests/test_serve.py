@@ -33,7 +33,7 @@ from repro.serve import (
     RunCancelled,
     events as codec,
 )
-from repro.serve.server import RunLog, ServeApp
+from repro.serve.server import MAX_BODY_BYTES, RunLog, ServeApp
 
 TEST_KIND = "serve-test"
 TINY_NAME = "_serve_tiny"
@@ -458,6 +458,31 @@ async def _json_request(port, method, path, body=None, headers=None):
 @pytest.mark.slow
 class TestHttpFrontend:
     """The SSE/JSON-lines server over real sockets."""
+
+    def test_oversized_body_rejected_before_read(self):
+        assert MAX_BODY_BYTES == 64 << 20
+
+        async def scenario():
+            app = ServeApp(AsyncExperimentEngine(ExperimentEngine()))
+            async with serving(app) as (server, port):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                # Only the head is sent: a server that tried to read
+                # the announced body would wait until the timeout.
+                writer.write(
+                    "POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+                    .encode()
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                header, _, body = raw.partition(b"\r\n\r\n")
+                assert int(header.split(b" ", 2)[1]) == 413
+                assert b"limit" in body
+
+        asyncio.run(scenario())
 
     def test_validation_errors(self, tiny_experiment):
         async def scenario():
