@@ -26,10 +26,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.config import FocusConfig
-from repro.core.batched import bucket_samples
 from repro.engine import EvalJob, ExperimentEngine
 from repro.eval.eval_shards import EVAL_SHARD_KIND
-from repro.eval.runner import ModelCache, evaluate_samples
+from repro.eval.runner import ModelCache, bucket_samples, evaluate_samples
 from repro.model.zoo import VIDEO_MODELS
 from repro.workloads.datasets import make_dataset_span
 

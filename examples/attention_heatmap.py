@@ -33,10 +33,11 @@ class _ProbeCapture(InferencePlugin):
     def __init__(self) -> None:
         self.importance = None
 
-    def after_attention_probs(self, layer_index, probs, state):
+    def after_attention_probs(self, layer_index, probs, batch):
         if layer_index == 0:
-            num_image = int((~state.is_text).sum())
-            self.importance = probs[:, -1, :num_image].max(axis=0)
+            lane = batch.lanes[0]  # one lane: the probe does not stack
+            num_image = int((~lane.is_text).sum())
+            self.importance = probs[0, :, -1, :num_image].max(axis=0)
         return None
 
 

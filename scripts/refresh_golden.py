@@ -4,10 +4,11 @@ Usage::
 
     python scripts/refresh_golden.py --reason "TEXT"
 
-The ledger locks the report bits of ``all --samples 1 --seed 0``: every
-refactor must reproduce it unchanged.  Refresh it only when a change is
-*meant* to alter a report.  ``--reason`` is required; it is appended to
-CHANGES.md so every refresh is on record.
+The ledger locks the report bits of each command in :data:`ARGVS` (the
+default run of each): every refactor must reproduce them unchanged.
+Refresh it only when a change is *meant* to alter a report.
+``--reason`` is required; it is appended to CHANGES.md so every
+refresh is on record.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "golden" / "report_digests.json"
 CHANGES = ROOT / "CHANGES.md"
-ARGV = ["all", "--samples", "1", "--seed", "0"]
+ARGVS = [
+    ["all", "--samples", "1", "--seed", "0"],
+    # Two samples per cell, so stacked runs get more than one lane.
+    ["table2", "table4", "--samples", "2", "--seed", "0"],
+]
 
 
 def run_digests(argv: list[str]) -> dict:
@@ -52,18 +57,23 @@ def main(argv: list[str] | None = None) -> int:
     if not reason:
         parser.error("--reason must not be empty")
 
-    reports = run_digests(ARGV)
+    entries = [
+        {"argv": argv, "reports": run_digests(argv)} for argv in ARGVS
+    ]
     LEDGER.parent.mkdir(parents=True, exist_ok=True)
+    # A JSON list with each entry laid out on its own, unindented, so
+    # adding an entry leaves the lines of the others untouched.
     LEDGER.write_text(
-        json.dumps({"argv": ARGV, "reports": reports},
-                   indent=2, sort_keys=True) + "\n",
+        "[\n" + ",\n".join(
+            json.dumps(entry, indent=2, sort_keys=True) for entry in entries
+        ) + "\n]\n",
         encoding="utf-8",
     )
+    commands = "; ".join(" ".join(argv) for argv in ARGVS)
     with CHANGES.open("a", encoding="utf-8") as changes:
-        changes.write(
-            f"Golden digests refreshed ({' '.join(ARGV)}): {reason}\n"
-        )
-    print(f"wrote {len(reports)} digests to {LEDGER.relative_to(ROOT)}")
+        changes.write(f"Golden digests refreshed ({commands}): {reason}\n")
+    digests = sum(len(entry["reports"]) for entry in entries)
+    print(f"wrote {digests} digests to {LEDGER.relative_to(ROOT)}")
     return 0
 
 

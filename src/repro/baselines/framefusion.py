@@ -16,7 +16,7 @@ import numpy as np
 from repro.model.functional import cosine_similarity_matrix
 from repro.model.plugins import InferencePlugin
 from repro.model.spec import ModelConfig
-from repro.model.vlm import TokenState
+from repro.model.vlm import BatchState, TokenState
 
 
 class FrameFusionPlugin(InferencePlugin):
@@ -69,7 +69,7 @@ class FrameFusionPlugin(InferencePlugin):
         quadratic = 2 * d
         return linear * tokens + quadratic * tokens * tokens
 
-    def begin(self, state: TokenState) -> None:
+    def begin(self, batch: BatchState) -> None:
         self._token_history = []
 
     def before_layer(self, layer_index: int, state: TokenState) -> None:

@@ -45,11 +45,12 @@ Flags:
     With ``--progress``, finished spans stream their cell's running
     accuracy/sparsity.
 ``--forward-batch N``
-    Forward-pass batch size for every scheduled cell (default: 1,
-    the serial loop).  Same-shape samples stack into one tensorized
-    pass; results are bit-identical for any batch size, only
-    wall-clock differs.  Methods without a batched forward, and
-    ``dense`` (faster per sample), keep the serial loop.
+    Lanes per forward pass for every scheduled cell (default: 1,
+    one sample per pass).  Same-shape samples stack into one
+    tensorized pass; results are bit-identical for any batch size,
+    only wall-clock differs.  Methods whose plugin does not stack
+    (``dense``, ``focus-topp`` and the baselines) run one lane at a
+    time.
 ``--retries N``
     Extra attempts per failed job (default: 0).  Attempts back off
     exponentially from ``--retry-backoff`` with deterministic jitter
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--forward-batch", type=int, default=None,
-        help="forward-pass batch size (default: 1, the serial loop; "
+        help="forward-pass batch size (default: 1, one sample per pass; "
              "same-shape samples stack into one tensorized pass — "
              "results are bit-identical, only wall-clock differs)",
     )

@@ -49,12 +49,12 @@ class FocusConfig:
             similarity scatter (Fig. 10(d) optimum: 64).
         fp16: Whether activations are rounded through FP16 between
             layers, matching the FP16-multiplier datapath.
-        forward_batch: Samples stacked into one cross-sample batched
-            forward pass (CLI ``--forward-batch``).  ``1`` runs the
-            retained per-sample loop — the parity oracle; any value
-            produces bit-identical per-sample results, only wall-clock
-            changes.  Methods without a batched implementation fall
-            back to the serial loop.
+        forward_batch: Samples stacked into one forward pass (CLI
+            ``--forward-batch``).  ``1`` runs one-lane stacks; any
+            value produces bit-identical per-sample results, only
+            wall-clock changes.  Methods whose plugin does not stack
+            (:attr:`~repro.model.plugins.InferencePlugin.stackable`)
+            run one lane at a time whatever the value.
     """
 
     block_frames: int = 2

@@ -114,6 +114,10 @@ class AdaptiveSemanticConcentrator(SemanticConcentrator):
 class AdaptiveFocusPlugin(FocusPlugin):
     """Focus pipeline with the top-p SEC swapped in."""
 
+    stackable = False
+    """Top-p keep counts depend on each lane's attention, so lanes of
+    one stack would diverge in shape."""
+
     def __init__(
         self,
         model: SyntheticVLM | ModelConfig | int,

@@ -15,11 +15,19 @@ compute core and the memory interface (Fig. 4):
 Ablation switches reproduce Fig. 11 (SEC only / SEC+SIC) and the
 token-wise variant of Fig. 2(c).
 
+The plugin stacks: the SEC runs per lane on each lane's probability
+slice (its fixed budget keeps lanes in lockstep), and the SIC runs
+*one* gather over the whole stack, in which each m-tile of the stack
+is matched as one block-diagonal tile
+(:meth:`~repro.core.gather.SimilarityGather.gather_batch`), so even
+lanes whose layouts diverged after semantic pruning resolve in a
+single matcher pass.
+
 Tile plans are cached *content-addressed*: the gather's cache token is
 :func:`layout_digest`, a digest of the token layout (positions + text
 mask + grid), so identical layouts — across gather sites, samples,
-and the lanes of a batched pass — resolve to one cached plan, and a
-plan is never served to a different layout.
+and the lanes of a stack — resolve to one cached plan, and a plan is
+never served to a different layout.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from repro.core.scatter import scatter_accumulation_ops
 from repro.core.semantic import SemanticConcentrator
 from repro.model.plugins import DedupStats, InferencePlugin
 from repro.model.spec import ModelConfig
-from repro.model.vlm import SyntheticVLM, TokenState
+from repro.model.vlm import BatchState, SyntheticVLM, TokenState
 
 GATHER_SITES = ("qkv", "o_proj", "fc1")
 """GEMMs whose inputs are outputs of FFN / PV / O-projection — the
@@ -72,6 +80,10 @@ class FocusPlugin(InferencePlugin):
     keyed by :func:`layout_digest`, so a plan built for one sample
     serves another only when their layouts are identical."""
 
+    stackable = True
+    """The fixed-budget SEC prunes every lane of a same-shape stack to
+    the same count at the same layers."""
+
     def __init__(
         self,
         model: SyntheticVLM | ModelConfig | int,
@@ -105,54 +117,72 @@ class FocusPlugin(InferencePlugin):
         self.gather_engine = SimilarityGather(config, token_wise=token_wise)
 
     def after_attention_probs(
-        self, layer_index: int, probs: np.ndarray, state: TokenState
-    ) -> np.ndarray | None:
+        self, layer_index: int, probs: np.ndarray, batch: BatchState
+    ) -> list[np.ndarray] | None:
         if not self.enable_sec:
             return None
-        grid_linear = linear_index(
-            np.maximum(state.positions, 0), state.grid
-        )
-        decision = self.sec.prune(
-            layer_index,
-            probs,
-            state.is_text,
-            state.num_image_initial,
-            grid_linear,
-        )
-        if decision is None:
+        keeps: list[np.ndarray | None] = []
+        for index, lane in enumerate(batch.lanes):
+            grid_linear = linear_index(
+                np.maximum(lane.positions, 0), lane.grid
+            )
+            decision = self.sec.prune(
+                layer_index,
+                probs[index],
+                lane.is_text,
+                lane.num_image_initial,
+                grid_linear,
+            )
+            if decision is None:
+                keeps.append(None)
+                continue
+            lane.trace.metadata_bits += decision.metadata_bits
+            lane.trace.sec_events.append(decision.event)
+            keeps.append(decision.keep)
+        pruned = [k for k in keeps if k is not None]
+        if not pruned:
             return None
-        state.trace.metadata_bits += decision.metadata_bits
-        state.trace.sec_events.append(decision.event)
-        return decision.keep
+        if len(pruned) != len(keeps):
+            # Cannot happen for the fixed-budget SEC (equal initial
+            # counts + exact-k selection keep lanes in lockstep), but a
+            # ragged prune would silently desynchronize the stack.
+            raise RuntimeError(
+                "semantic pruning diverged across lanes of one batch"
+            )
+        return pruned
 
     def gemm_input(
         self,
         layer_index: int,
         site: str,
         x: np.ndarray,
-        state: TokenState,
-        producer,
+        batch: BatchState,
+        producers,
         n: int,
-    ) -> tuple[np.ndarray, DedupStats | None]:
+    ) -> tuple[np.ndarray, list[DedupStats | None]]:
         if not self.enable_sic or site not in GATHER_SITES:
-            return x, None
-        result = self.gather_engine.gather(
+            return x, [None] * batch.num_lanes
+        lanes = batch.lanes
+        result = self.gather_engine.gather_batch(
             x,
-            state.positions,
-            state.is_text,
-            state.grid,
-            cache_token=layout_digest(state),
+            [lane.positions for lane in lanes],
+            [lane.is_text for lane in lanes],
+            lanes[0].grid,
+            cache_token=[layout_digest(lane) for lane in lanes],
         )
-        stats = DedupStats(
-            unique_vectors=result.unique_total,
-            total_vectors=result.total_vectors,
-            map_bits=result.map_bits,
-            vector_size=result.vector_size,
-            tile_lengths=result.tile_lengths,
-            tile_rows=result.tile_rows,
-            scatter_ops=scatter_accumulation_ops(
-                x.shape[0], n, result.reps.shape[0]
-            ),
-        )
-        state.trace.sic_comparisons += result.comparisons
-        return result.x_approx, stats
+        stats_list: list[DedupStats | None] = []
+        num_rows = x.shape[1]
+        for lane, r in zip(lanes, result.per_sample):
+            stats_list.append(DedupStats(
+                unique_vectors=r.unique_total,
+                total_vectors=r.total_vectors,
+                map_bits=r.map_bits,
+                vector_size=r.vector_size,
+                tile_lengths=r.tile_lengths,
+                tile_rows=r.tile_rows,
+                scatter_ops=scatter_accumulation_ops(
+                    num_rows, n, r.reps.shape[0]
+                ),
+            ))
+            lane.trace.sic_comparisons += r.comparisons
+        return result.x_approx, stats_list

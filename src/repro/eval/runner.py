@@ -185,6 +185,27 @@ def evaluate_samples(
     return result
 
 
+def bucket_samples(samples: list[Sample]) -> list[list[int]]:
+    """Group sample indices by token-layout shape, in encounter order.
+
+    The bucketing rule: samples stack together iff they agree on
+    (visual-token count, text-token count, FHW grid) — exactly the
+    quantities that make their initial token stacks rectangular and
+    their neighbor tables shareable.  Ragged eval spans (mixed
+    datasets) therefore split into a handful of buckets, each run as
+    one or more stacked passes.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for index, sample in enumerate(samples):
+        key = (
+            sample.num_visual_tokens,
+            sample.num_text_tokens,
+            sample.grid,
+        )
+        buckets.setdefault(key, []).append(index)
+    return list(buckets.values())
+
+
 def _forward_outcomes(
     model: SyntheticVLM,
     samples: list[Sample],
@@ -192,37 +213,33 @@ def _forward_outcomes(
     config: FocusConfig,
     quantized: bool,
 ) -> list:
-    """Per-sample inference outcomes, batched when the config asks.
+    """Per-sample inference outcomes, in sample order.
 
-    With ``config.forward_batch > 1`` and a method that has a batched
-    implementation, samples run in shape-bucketed stacked passes
-    (:func:`repro.core.batched.run_batched`); otherwise the retained
-    per-sample loop runs — the parity oracle both arms are held to.
-    Either way the outcome list is in sample order and per-sample
-    bit-identical.
+    Samples run in shape-bucketed stacks of at most
+    ``config.forward_batch`` lanes when the method's plugin is
+    :attr:`~repro.model.plugins.InferencePlugin.stackable`, and one
+    lane at a time otherwise; each sample's outcome is bit-identical
+    either way.
     """
-    if config.forward_batch > 1:
-        from repro.core.batched import make_batch_plugin, run_batched
+    def fresh_plugin() -> InferencePlugin:
+        plugin = make_plugin(method, model, config)
+        return Int8ActivationPlugin(plugin) if quantized else plugin
 
-        batch_plugin = make_batch_plugin(
-            method, model, config, quantized=quantized
-        )
-        if batch_plugin is not None:
-            return run_batched(
-                model, samples, batch_plugin, config.forward_batch
-            )
-    plugin: InferencePlugin = make_plugin(method, model, config)
-    if quantized:
-        plugin = Int8ActivationPlugin(plugin)
-    outcomes = []
-    for index, sample in enumerate(samples):
-        if index and not plugin.reusable:
-            # Stateful plugins get a fresh instance per sample, as the
-            # original loop always did; reusable ones are hoisted.
-            plugin = make_plugin(method, model, config)
-            if quantized:
-                plugin = Int8ActivationPlugin(plugin)
-        outcomes.append(model.forward(sample, plugin))
+    plugin = fresh_plugin()
+    lanes = config.forward_batch if plugin.stackable else 1
+    outcomes: list = [None] * len(samples)
+    passes = 0
+    for bucket in bucket_samples(samples):
+        for start in range(0, len(bucket), lanes):
+            if passes and not plugin.reusable:
+                # Stateful plugins get a fresh instance per pass;
+                # reusable ones are hoisted.
+                plugin = fresh_plugin()
+            passes += 1
+            chunk = bucket[start:start + lanes]
+            results = model.forward_batch([samples[i] for i in chunk], plugin)
+            for index, result in zip(chunk, results):
+                outcomes[index] = result
     return outcomes
 
 

@@ -28,12 +28,13 @@ class ActivationCapture(InferencePlugin):
         self.positions: np.ndarray | None = None
         self.is_text: np.ndarray | None = None
 
-    def gemm_input(self, layer_index, site, x, state, producer, n):
+    def gemm_input(self, layer_index, site, x, batch, producers, n):
         if site == "fc1":
-            self.captured.append(np.array(x))
-            self.positions = np.array(state.positions)
-            self.is_text = np.array(state.is_text)
-        return x, None
+            lane = batch.lanes[0]  # one lane: the plugin does not stack
+            self.captured.append(np.array(x[0]))
+            self.positions = np.array(lane.positions)
+            self.is_text = np.array(lane.is_text)
+        return x, [None]
 
 
 def similarity_fractions(

@@ -6,17 +6,25 @@ the forward pass.  The :class:`InferencePlugin` interface exposes
 those points; the engine (:mod:`repro.model.vlm`) stays method-agnostic
 and the methods never duplicate transformer code.
 
-Hook order within one forward pass::
+The engine has one forward path: a stack of same-shape samples
+(``lanes``) runs as one pass, and a single sample is a one-lane stack.
+Hooks that see the whole stack take the
+:class:`~repro.model.vlm.BatchState`; hooks that change one sample's
+token set take that lane's :class:`~repro.model.vlm.TokenState`, are
+called once per lane, and the engine re-stacks afterwards.  Hook order
+within one forward pass::
 
-    begin(state)
-    on_visual_tokens(state)            # entry compression (AdapTiV, CMC)
+    begin(batch)
+    on_visual_tokens(lane)             # per lane: entry compression
+                                       # (AdapTiV, CMC)
     for each layer:
-        before_layer(layer, state)     # token merging (FrameFusion)
+        before_layer(layer, lane)      # per lane: token merging
+                                       # (FrameFusion)
         gemm_input(layer, "qkv", ...)  # vector dedup (Focus SIC)
         after_attention_probs(...)     # semantic pruning (Focus SEC)
         gemm_input(layer, "o_proj", ...)
         gemm_input(layer, "fc1", ...)
-    finish(state)
+    finish(batch)
 """
 
 from __future__ import annotations
@@ -61,11 +69,12 @@ class InferencePlugin:
 
     needs_attention_summary: bool = False
     """Whether the engine should compute the per-key attention summary
-    (``state.scratch["attn_received"]``, mean attention received over
-    heads and queries) at every layer.  Importance-style plugins
-    (FrameFusion) set this; computing the summary lazily keeps an
-    O(heads x s^2) reduction off every other method's hot path.
-    Wrapper plugins must delegate it to the plugin they wrap."""
+    (``lane.scratch["attn_received"]``, mean attention received over
+    heads and queries) for every lane at every layer.
+    Importance-style plugins (FrameFusion) set this; computing the
+    summary lazily keeps an O(heads x s^2) reduction off every other
+    method's hot path.  Wrapper plugins must delegate it to the plugin
+    they wrap."""
 
     reusable: bool = False
     """Whether one instance may drive many forward passes.  A plugin
@@ -75,11 +84,22 @@ class InferencePlugin:
     stateful plugins stay correct by default; wrapper plugins must
     delegate it to the plugin they wrap."""
 
-    def begin(self, state: "TokenState") -> None:
+    stackable: bool = False
+    """Whether the plugin keeps a stack of more than one lane in step.
+    A stackable plugin prunes every lane to the same token count at
+    the same points (so the stack stays rectangular) and keeps each
+    lane's observable outputs bit-identical to a one-lane pass of that
+    sample.  Plugins whose per-lane hooks or keep counts depend on the
+    data do not stack; the engine refuses to run them on more than one
+    lane, and the evaluation loop runs them one lane at a time.
+    Wrapper plugins must delegate it to the plugin they wrap."""
+
+    def begin(self, batch: "BatchState") -> None:
         """Called once before the first layer."""
 
     def on_visual_tokens(self, state: "TokenState") -> None:
-        """Entry-level token compression, before the LLM stack.
+        """Entry-level token compression of one lane, before the LLM
+        stack.
 
         Implementations mutate ``state`` (hidden/positions/masks) via
         :meth:`TokenState.apply_keep` or by replacing token values, and
@@ -88,87 +108,7 @@ class InferencePlugin:
         """
 
     def before_layer(self, layer_index: int, state: "TokenState") -> None:
-        """Called before each transformer layer."""
-
-    def gemm_input(
-        self,
-        layer_index: int,
-        site: str,
-        x: np.ndarray,
-        state: "TokenState",
-        producer: "GemmTrace | None",
-        n: int,
-    ) -> tuple[np.ndarray, DedupStats | None]:
-        """Optionally concentrate the input of a projection GEMM.
-
-        Args:
-            layer_index: Current layer.
-            site: ``"qkv"``, ``"o_proj"`` or ``"fc1"`` — the GEMMs whose
-                inputs are outputs of FFN / PV / O-projection, i.e. the
-                gather sites of the paper (Sec. VI-A, footnote 1).
-            x: GEMM input of shape ``(tokens, k)``.
-            state: Current token state (positions for block grouping).
-            producer: Trace record of the GEMM that produced ``x``;
-                implementations may annotate its output compression.
-            n: Output width of the consuming GEMM (for scatter-op
-                accounting).
-
-        Returns:
-            The (possibly approximated) input and gather statistics, or
-            ``(x, None)`` to run dense.
-        """
-        return x, None
-
-    def after_attention_probs(
-        self,
-        layer_index: int,
-        probs: np.ndarray,
-        state: "TokenState",
-    ) -> np.ndarray | None:
-        """Optionally select tokens to keep after the attention softmax.
-
-        Args:
-            probs: Attention probabilities of shape
-                ``(heads, tokens, tokens)`` for the *current* token set.
-
-        Returns:
-            Boolean keep-mask over tokens, or ``None`` to keep all.
-        """
-        return None
-
-    def finish(self, state: "TokenState") -> None:
-        """Called once after the last layer."""
-
-
-DENSE_PLUGIN = InferencePlugin()
-"""Shared no-op plugin instance for dense runs."""
-
-
-class BatchPlugin:
-    """Hook protocol of the cross-sample batched forward pass.
-
-    :meth:`SyntheticVLM.forward_batch <repro.model.vlm.SyntheticVLM.
-    forward_batch>` stacks same-shape samples into ``(lanes, tokens,
-    ...)`` arrays and invokes these hooks once per site instead of
-    once per sample.  Implementations must keep every lane's observable
-    outputs (values, keep masks, :class:`DedupStats`, trace updates on
-    ``lane.trace``) bit-identical to what the corresponding serial
-    :class:`InferencePlugin` would produce for that lane alone — the
-    contract the differential suite enforces.
-
-    Only the hooks below exist in batched mode; methods that need
-    ``on_visual_tokens``/``before_layer`` (entry compression, token
-    merging) have no batched implementation and fall back to the
-    serial loop.  All hooks are no-ops here (dense execution).
-    """
-
-    reusable: bool = True
-    """Batched plugins must be reusable across chunks of a bucket (and
-    across buckets): one batched cell evaluation constructs exactly
-    one plugin."""
-
-    def begin(self, batch: "BatchState") -> None:
-        """Called once before the first layer of a batched pass."""
+        """Called for each lane before each transformer layer."""
 
     def gemm_input(
         self,
@@ -179,18 +119,26 @@ class BatchPlugin:
         producers: "list[GemmTrace | None]",
         n: int,
     ) -> tuple[np.ndarray, "list[DedupStats | None]"]:
-        """Optionally concentrate a stacked GEMM input.
+        """Optionally concentrate the input of a projection GEMM.
 
         Args:
-            x: GEMM input of shape ``(lanes, tokens, k)``.
-            batch: Current batch state (per-lane token states).
-            producers: Per-lane trace records of the GEMM that
-                produced ``x``.
-            n: Output width of the consuming GEMM.
+            layer_index: Current layer.
+            site: ``"qkv"``, ``"o_proj"`` or ``"fc1"`` — the GEMMs whose
+                inputs are outputs of FFN / PV / O-projection, i.e. the
+                gather sites of the paper (Sec. VI-A, footnote 1).
+            x: Stacked GEMM input of shape ``(lanes, tokens, k)``.
+            batch: Current stack (per-lane token states hold the
+                positions for block grouping).
+            producers: Per-lane trace records of the GEMM that produced
+                ``x``; implementations may annotate their output
+                compression.
+            n: Output width of the consuming GEMM (for scatter-op
+                accounting).
 
         Returns:
             The (possibly approximated) stacked input and one
-            :class:`DedupStats` (or ``None``) per lane.
+            :class:`DedupStats` per lane, or ``None`` for a lane that
+            runs dense.
         """
         return x, [None] * batch.num_lanes
 
@@ -203,15 +151,20 @@ class BatchPlugin:
         """Optionally select tokens to keep after the attention softmax.
 
         Args:
-            probs: Stacked attention probabilities ``(lanes, heads,
-                tokens, tokens)``.
+            probs: Stacked attention probabilities of shape
+                ``(lanes, heads, tokens, tokens)`` for the *current*
+                token set.
 
         Returns:
-            One boolean keep-mask per lane — every mask must keep the
-            same number of tokens (the stack stays rectangular) — or
-            ``None`` to keep all.
+            One boolean keep-mask over tokens per lane — every mask
+            keeps the same number of tokens, so the stack stays
+            rectangular — or ``None`` to keep all.
         """
         return None
 
     def finish(self, batch: "BatchState") -> None:
         """Called once after the last layer."""
+
+
+DENSE_PLUGIN = InferencePlugin()
+"""Shared no-op plugin instance for dense runs."""

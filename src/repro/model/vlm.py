@@ -6,6 +6,10 @@ attention matrix), invokes :class:`~repro.model.plugins.InferencePlugin`
 hooks at the points where concentration methods intervene, and records
 every executed GEMM into a :class:`~repro.accel.trace.ModelTrace` for
 the hardware simulator.
+
+There is one forward path: :meth:`SyntheticVLM.forward_batch` runs a
+stack of same-shape samples as one ``(lanes, tokens, hidden)`` pass,
+and :meth:`SyntheticVLM.forward` is its one-lane case.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from repro.accel.trace import GemmTrace, ModelTrace
 from repro.model.functional import attention_scores, rms_norm, softmax
-from repro.model.plugins import BatchPlugin, DedupStats, InferencePlugin
+from repro.model.plugins import DENSE_PLUGIN, DedupStats, InferencePlugin
 from repro.model.spec import ModelConfig
 from repro.model.weights import LayerWeights, build_all_weights
 from repro.utils.fp import quantize_fp16
@@ -36,6 +40,11 @@ def _flat_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     lanes, s, k = x.shape
     return (x.reshape(lanes * s, k) @ w).reshape(lanes, s, w.shape[1])
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack``, but a copy-free view when there is one lane."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @dataclass
@@ -110,16 +119,16 @@ class InferenceResult:
 
 @dataclass
 class BatchState:
-    """Token state of a cross-sample batched forward pass.
+    """Token state of a forward pass over a stack of samples.
 
     ``hidden`` is the master ``(lanes, tokens, hidden)`` stack; each
-    lane's :class:`TokenState` views its slice (``lane.hidden is
-    batch.hidden[i]`` between layers), so per-lane bookkeeping —
+    lane's :class:`TokenState` views its slice (``lane.hidden`` is
+    ``batch.hidden[i]`` between hooks), so per-lane bookkeeping —
     positions, versions, traces, scratch — runs unchanged on views of
     the stacked data.  All lanes hold the same token count at every
-    point of the pass (samples are bucketed by shape and the SEC's
-    budget is a deterministic function of the initial image count), so
-    the stack stays rectangular end to end.
+    point of the pass (samples are bucketed by shape, and only
+    :attr:`~repro.model.plugins.InferencePlugin.stackable` plugins run
+    more than one lane), so the stack stays rectangular end to end.
     """
 
     lanes: list[TokenState]
@@ -140,17 +149,17 @@ class BatchState:
             lane.hidden = hidden[index]
 
     def restack(self) -> None:
-        """Re-stack per-lane hidden states (after a per-lane prune).
+        """Re-stack the lanes' hidden states after per-lane hooks.
 
         Raises if the lanes diverged in shape — the rectangularity
-        invariant batched execution rests on.
+        invariant the stack rests on.
         """
         shapes = {lane.hidden.shape for lane in self.lanes}
         if len(shapes) != 1:
             raise ValueError(
                 f"lanes diverged in shape after pruning: {sorted(shapes)}"
             )
-        self.set_hidden(np.stack([lane.hidden for lane in self.lanes]))
+        self.set_hidden(_stack([lane.hidden for lane in self.lanes]))
 
 
 class SyntheticVLM:
@@ -191,47 +200,33 @@ class SyntheticVLM:
     def forward(
         self, sample: Sample, plugin: InferencePlugin | None = None
     ) -> InferenceResult:
-        """Run the model on a sample under an optional plugin."""
-        plugin = plugin or InferencePlugin()
-        state = self.initial_state(sample)
-        state.trace.initial_tokens = state.num_tokens
-        plugin.begin(state)
-        plugin.on_visual_tokens(state)
-
-        last_writer: GemmTrace | None = None
-        for layer_index, weights in enumerate(self.layers):
-            plugin.before_layer(layer_index, state)
-            last_writer = self._run_layer(layer_index, weights, state,
-                                          plugin, last_writer)
-            state.trace.tokens_per_layer.append(state.num_tokens)
-        plugin.finish(state)
-
-        predicted = self._readout(sample, state)
-        return InferenceResult(
-            predicted_index=predicted,
-            correct=predicted == sample.question.answer_index,
-            trace=state.trace,
-            final_tokens=state.num_tokens,
-        )
+        """Run the model on one sample: a one-lane :meth:`forward_batch`."""
+        return self.forward_batch([sample], plugin)[0]
 
     def forward_batch(
-        self, samples: list[Sample], plugin: BatchPlugin | None = None
+        self, samples: list[Sample], plugin: InferencePlugin | None = None
     ) -> list[InferenceResult]:
         """Run the model on a stack of same-shape samples at once.
 
         The samples must share their token layout (visual/text counts
         and grid — callers bucket by shape); the whole stack then runs
         as one tensorized pass over ``(lanes, tokens, hidden)`` arrays.
-        Every stacked operation applies the serial pass's kernels
-        per lane slice (matmul loops the same per-slice GEMM, norms
-        and softmax reduce over trailing axes, elementwise ops are
-        elementwise), so each lane's :class:`InferenceResult` — answer,
-        trace, token counts — is bit-identical to
-        :meth:`forward` on that sample alone, for every batch size.
+        Every stacked operation applies the same kernel to each lane
+        slice (one flattened GEMM per weight, norms and softmax reduce
+        over trailing axes, elementwise ops are elementwise), so each
+        lane's :class:`InferenceResult` — answer, trace, token counts
+        — is bit-identical to a one-lane pass of that sample, for
+        every stack size.  More than one lane needs a
+        :attr:`~repro.model.plugins.InferencePlugin.stackable` plugin.
         """
-        plugin = plugin or BatchPlugin()
+        plugin = plugin or DENSE_PLUGIN
         if not samples:
             return []
+        if len(samples) > 1 and not plugin.stackable:
+            raise ValueError(
+                f"{type(plugin).__name__} does not stack; run its samples"
+                " one lane at a time"
+            )
         lanes = [self.initial_state(sample) for sample in samples]
         shapes = {
             (lane.num_tokens, lane.grid, int(lane.num_image_initial))
@@ -242,14 +237,20 @@ class SyntheticVLM:
                 f"forward_batch needs same-shape samples, got {sorted(shapes)}"
             )
         batch = BatchState(lanes=lanes, hidden=np.empty(0))
-        batch.set_hidden(np.stack([lane.hidden for lane in lanes]))
+        batch.set_hidden(_stack([lane.hidden for lane in lanes]))
         for lane in lanes:
             lane.trace.initial_tokens = lane.num_tokens
         plugin.begin(batch)
+        for lane in lanes:
+            plugin.on_visual_tokens(lane)
+        batch.restack()
 
         last_writers: list[GemmTrace | None] = [None] * len(lanes)
         for layer_index, weights in enumerate(self.layers):
-            last_writers = self._run_layer_batch(
+            for lane in lanes:
+                plugin.before_layer(layer_index, lane)
+            batch.restack()
+            last_writers = self._run_layer(
                 layer_index, weights, batch, plugin, last_writers
             )
             for lane in lanes:
@@ -271,90 +272,14 @@ class SyntheticVLM:
         self,
         layer_index: int,
         weights: LayerWeights,
-        state: TokenState,
-        plugin: InferencePlugin,
-        last_writer: GemmTrace | None,
-    ) -> GemmTrace:
-        cfg = self.config
-        d, heads, head_dim = cfg.hidden, cfg.num_heads, cfg.head_dim
-
-        x = state.hidden
-        normed = rms_norm(x)
-        normed, _ = self._concentrated_gemm(
-            plugin, layer_index, "qkv", normed, state, last_writer,
-            k=d, n=3 * d,
-        )
-        q = normed @ weights.wq
-        k = normed @ weights.wk
-        v = normed @ weights.wv
-
-        s = state.num_tokens
-        q_h = q.reshape(s, heads, head_dim).transpose(1, 0, 2)
-        k_h = k.reshape(s, heads, head_dim).transpose(1, 0, 2)
-        v_h = v.reshape(s, heads, head_dim).transpose(1, 0, 2)
-        scores = attention_scores(q_h, k_h, head_dim)
-        state.trace.add(GemmTrace(name="qk", layer=layer_index, m=s, k=d, n=s))
-        probs = softmax(scores, axis=-1)
-
-        if plugin.needs_attention_summary:
-            # Attention received per key, averaged over heads and
-            # queries; computed only for plugins that declare the need
-            # (importance-style baselines such as FrameFusion).
-            state.scratch["attn_received"] = probs.mean(axis=(0, 1))
-
-        keep = plugin.after_attention_probs(layer_index, probs, state)
-        if keep is not None:
-            # Semantic pruning: only retained query rows proceed to
-            # P x V; keys/values of this layer stay full (they were
-            # already computed), exactly as in Sec. V-C.
-            probs = probs[:, keep, :]
-            state.apply_keep(keep)
-        x = state.hidden
-        s_q = probs.shape[1]
-
-        ctx = (probs @ v_h).transpose(1, 0, 2).reshape(s_q, d)
-        pv_trace = state.trace.add(
-            GemmTrace(name="pv", layer=layer_index, m=s_q, k=s, n=d)
-        )
-
-        ctx, o_trace = self._concentrated_gemm(
-            plugin, layer_index, "o_proj", ctx, state, pv_trace, k=d, n=d,
-        )
-        attn_out = ctx @ weights.wo
-        x = quantize_fp16(x + attn_out, cfg.fp16)
-
-        normed2 = rms_norm(x)
-        normed2, fc1_trace = self._concentrated_gemm(
-            plugin, layer_index, "fc1", normed2, state, o_trace,
-            k=d, n=cfg.ffn_hidden,
-        )
-        # tanh rather than GELU: GELU's positive DC offset would add an
-        # identical mean vector to every token's residual each layer,
-        # inflating inter-token similarity toward 1 by depth and
-        # erasing the hidden-state redundancy structure SIC operates on.
-        h = np.tanh(normed2 @ weights.w_fc1)
-        fc2_trace = state.trace.add(
-            GemmTrace(name="fc2", layer=layer_index, m=s_q,
-                      k=cfg.ffn_hidden, n=d)
-        )
-        x = quantize_fp16(x + h @ weights.w_fc2, cfg.fp16)
-
-        state.hidden = x
-        return fc2_trace
-
-    def _run_layer_batch(
-        self,
-        layer_index: int,
-        weights: LayerWeights,
         batch: BatchState,
-        plugin: BatchPlugin,
+        plugin: InferencePlugin,
         last_writers: list[GemmTrace | None],
-    ) -> list[GemmTrace | None]:
+    ) -> list[GemmTrace]:
         """One transformer layer over the whole lane stack.
 
-        Mirrors :meth:`_run_layer` operation for operation with a
-        leading lane axis; per-lane trace records are appended at the
-        identical points so each lane's trace equals its serial one.
+        Per-lane trace records are appended at the same points for
+        every lane, so each lane's trace is its one-lane trace.
         """
         cfg = self.config
         d, heads, head_dim = cfg.hidden, cfg.num_heads, cfg.head_dim
@@ -363,7 +288,7 @@ class SyntheticVLM:
 
         x = batch.hidden                              # (L, s, d)
         normed = rms_norm(x)
-        normed, _ = self._concentrated_gemm_batch(
+        normed, _ = self._concentrated_gemm(
             plugin, layer_index, "qkv", normed, batch, last_writers,
             k=d, n=3 * d,
         )
@@ -382,11 +307,19 @@ class SyntheticVLM:
             )
         probs = softmax(scores, axis=-1)
 
+        if plugin.needs_attention_summary:
+            # Attention received per key, averaged over heads and
+            # queries; computed only for plugins that declare the need
+            # (importance-style baselines such as FrameFusion).
+            for index, lane in enumerate(lanes):
+                lane.scratch["attn_received"] = probs[index].mean(axis=(0, 1))
+
         keeps = plugin.after_attention_probs(layer_index, probs, batch)
         if keeps is not None:
-            # Semantic pruning, per lane: retained query rows proceed
-            # to P x V exactly as in the serial pass; equal budgets
-            # keep the stack rectangular (restack checks).
+            # Semantic pruning, per lane: only retained query rows
+            # proceed to P x V; keys/values of this layer stay full
+            # (they were already computed), exactly as in Sec. V-C.
+            # Equal budgets keep the stack rectangular (restack checks).
             pruned = [
                 probs[index][:, keep, :]
                 for index, keep in enumerate(keeps)
@@ -394,7 +327,7 @@ class SyntheticVLM:
             for lane, keep in zip(lanes, keeps):
                 lane.apply_keep(keep)
             batch.restack()
-            probs = np.stack(pruned)
+            probs = _stack(pruned)
         x = batch.hidden
         s_q = probs.shape[2]
 
@@ -406,17 +339,21 @@ class SyntheticVLM:
             for lane in lanes
         ]
 
-        ctx, o_traces = self._concentrated_gemm_batch(
+        ctx, o_traces = self._concentrated_gemm(
             plugin, layer_index, "o_proj", ctx, batch, pv_traces, k=d, n=d,
         )
         attn_out = _flat_matmul(ctx, weights.wo)
         x = quantize_fp16(x + attn_out, cfg.fp16)
 
         normed2 = rms_norm(x)
-        normed2, fc1_traces = self._concentrated_gemm_batch(
+        normed2, _ = self._concentrated_gemm(
             plugin, layer_index, "fc1", normed2, batch, o_traces,
             k=d, n=cfg.ffn_hidden,
         )
+        # tanh rather than GELU: GELU's positive DC offset would add an
+        # identical mean vector to every token's residual each layer,
+        # inflating inter-token similarity toward 1 by depth and
+        # erasing the hidden-state redundancy structure SIC operates on.
         h = np.tanh(_flat_matmul(normed2, weights.w_fc1))
         fc2_traces = [
             lane.trace.add(
@@ -428,11 +365,11 @@ class SyntheticVLM:
         x = quantize_fp16(x + _flat_matmul(h, weights.w_fc2), cfg.fp16)
 
         batch.set_hidden(x)
-        return list(fc2_traces)
+        return fc2_traces
 
-    def _concentrated_gemm_batch(
+    def _concentrated_gemm(
         self,
-        plugin: BatchPlugin,
+        plugin: InferencePlugin,
         layer_index: int,
         site: str,
         x: np.ndarray,
@@ -441,7 +378,7 @@ class SyntheticVLM:
         k: int,
         n: int,
     ) -> tuple[np.ndarray, list[GemmTrace]]:
-        """Apply the batch plugin's gather; record per-lane GEMM traces."""
+        """Apply the plugin's input gather; record per-lane GEMM traces."""
         x, stats_list = plugin.gemm_input(
             layer_index, site, x, batch, producers, n
         )
@@ -455,25 +392,6 @@ class SyntheticVLM:
             lane.trace.add(trace)
             traces.append(trace)
         return x, traces
-
-    def _concentrated_gemm(
-        self,
-        plugin: InferencePlugin,
-        layer_index: int,
-        site: str,
-        x: np.ndarray,
-        state: TokenState,
-        producer: GemmTrace | None,
-        k: int,
-        n: int,
-    ) -> tuple[np.ndarray, GemmTrace]:
-        """Apply the plugin's input gather and record the GEMM trace."""
-        x, stats = plugin.gemm_input(layer_index, site, x, state, producer, n)
-        trace = GemmTrace(name=site, layer=layer_index, m=x.shape[0], k=k, n=n)
-        if stats is not None:
-            self._annotate(trace, producer, stats, state)
-        state.trace.add(trace)
-        return x, trace
 
     @staticmethod
     def _annotate(

@@ -16,7 +16,7 @@ import copy
 import numpy as np
 
 from repro.model.plugins import DedupStats, InferencePlugin
-from repro.model.vlm import SyntheticVLM, TokenState
+from repro.model.vlm import BatchState, SyntheticVLM, TokenState
 
 INT8_LEVELS = 127
 """Symmetric signed INT8 grid."""
@@ -64,7 +64,9 @@ class Int8ActivationPlugin(InferencePlugin):
 
     Activations are quantized *before* the wrapped plugin's gather so
     the similarity matcher operates on the values the INT8 datapath
-    would actually compare — the interaction Table IV measures.
+    would actually compare — the interaction Table IV measures.  The
+    absmax scale is per row (last axis), so quantizing a stack equals
+    quantizing each lane alone.
     """
 
     def __init__(self, inner: InferencePlugin | None = None) -> None:
@@ -82,8 +84,14 @@ class Int8ActivationPlugin(InferencePlugin):
         exactly as safe as the wrapped plugin's reuse."""
         return self.inner.reusable
 
-    def begin(self, state: TokenState) -> None:
-        self.inner.begin(state)
+    @property
+    def stackable(self) -> bool:  # type: ignore[override]
+        """Delegated: per-row rounding keeps lanes independent, so the
+        wrapped plugin decides whether lanes stay in step."""
+        return self.inner.stackable
+
+    def begin(self, batch: BatchState) -> None:
+        self.inner.begin(batch)
 
     def on_visual_tokens(self, state: TokenState) -> None:
         self.inner.on_visual_tokens(state)
@@ -96,19 +104,19 @@ class Int8ActivationPlugin(InferencePlugin):
         layer_index: int,
         site: str,
         x: np.ndarray,
-        state: TokenState,
-        producer,
+        batch: BatchState,
+        producers,
         n: int,
-    ) -> tuple[np.ndarray, DedupStats | None]:
+    ) -> tuple[np.ndarray, list[DedupStats | None]]:
         quantized = fake_quant_int8(x, axis=-1)
         return self.inner.gemm_input(
-            layer_index, site, quantized, state, producer, n
+            layer_index, site, quantized, batch, producers, n
         )
 
     def after_attention_probs(
-        self, layer_index: int, probs: np.ndarray, state: TokenState
-    ) -> np.ndarray | None:
-        return self.inner.after_attention_probs(layer_index, probs, state)
+        self, layer_index: int, probs: np.ndarray, batch: BatchState
+    ) -> list[np.ndarray] | None:
+        return self.inner.after_attention_probs(layer_index, probs, batch)
 
-    def finish(self, state: TokenState) -> None:
-        self.inner.finish(state)
+    def finish(self, batch: BatchState) -> None:
+        self.inner.finish(batch)

@@ -89,6 +89,10 @@ keys, about 144 bytes per job (the 103 evaluation jobs of ``all
 --samples 1`` encode to 14,813 bytes), so 64 MiB holds some 460k jobs
 while one request can no longer make the server buffer a gigabyte;
 everything else is small JSON."""
+RUN_SPEC_KEYS = frozenset(
+    {"experiments", "samples", "seed", "scenario", "on_error"}
+)
+"""Keys a ``POST /runs`` spec may carry; any other key is a ``400``."""
 DEFAULT_RING_SIZE = 65536
 DEFAULT_MAX_FINISHED_RUNS = 256
 """Terminal runs retained (with their event logs and reports) before
@@ -292,6 +296,15 @@ class ServeApp:
         """Validate a POSTed spec, launch it, and start its pump."""
         if not isinstance(spec, dict):
             raise HttpError(400, "body must be a JSON object")
+        unknown_keys = sorted(set(spec) - RUN_SPEC_KEYS)
+        if unknown_keys:
+            # A misspelt or retired key would otherwise run with its
+            # default and still answer 201.
+            raise HttpError(
+                400,
+                f"unknown spec keys {unknown_keys}; "
+                f"known: {sorted(RUN_SPEC_KEYS)}",
+            )
         names = spec.get("experiments")
         if (
             not isinstance(names, list) or not names

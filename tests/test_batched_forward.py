@@ -1,14 +1,15 @@
-"""Differential suite: cross-sample batched forward vs the serial oracle.
+"""Differential suite: stacks of many lanes vs one lane at a time.
 
-The batched forward (``FocusConfig.forward_batch > 1``) must be
-*bit-identical* to running every sample through the per-sample loop —
+A stacked forward (``FocusConfig.forward_batch > 1``) must be
+*bit-identical* to running every sample as its own one-lane pass —
 same traces, same representatives, same unique/comparison counts, same
 accuracy and sparsity — for every batch size, method arm, and ragged
 layout mix.  These tests lock that contract in at three levels: a
 hypothesis grid of random per-lane DAG tables against the matcher
 oracle, whole-gather parity over layout-diverged lanes, and full
-``EvalResult`` equality over mixed-dataset eval spans.  The job-digest
-and progress-stream regressions that rode along are pinned here too.
+``EvalResult`` equality over mixed-dataset eval spans.  Plugins that
+do not stack must be refused more than one lane.  The job-digest and
+progress-stream regressions that rode along are pinned here too.
 """
 
 from __future__ import annotations
@@ -18,22 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.framefusion import FrameFusionPlugin
 from repro.config import FocusConfig
-from repro.core.batched import (
-    BATCH_METHOD_REGISTRY,
-    bucket_samples,
-    make_batch_plugin,
-)
+from repro.core.adaptive import AdaptiveFocusPlugin
 from repro.core.gather import SimilarityGather
 from repro.core.matching import SimilarityMatcher
 from repro.core.pipeline import layout_digest
 from repro.engine import EvalJob, ExperimentEngine, config_digest
 from repro.eval.runner import (
+    METHOD_REGISTRY,
     ModelCache,
     QuantizedModelCache,
+    bucket_samples,
     evaluate,
     evaluate_samples,
+    make_plugin,
 )
+from repro.quant.int8 import Int8ActivationPlugin
 from repro.workloads.datasets import make_dataset_span
 
 
@@ -250,9 +252,9 @@ def _ragged_samples(model, per_dataset=4):
 
 @pytest.mark.slow
 class TestEvalParity:
-    """Full EvalResult equality: batched vs serial, every arm."""
+    """Full EvalResult equality: stacked vs one lane, every arm."""
 
-    ARMS = (("focus", False), ("dense", False), ("focus", True))
+    ARMS = (("focus", False), ("focus", True))
 
     def _eval(self, method, quantized, batch, samples=None):
         model = (
@@ -278,16 +280,16 @@ class TestEvalParity:
         assert batched == serial
 
     def test_unsupported_method_falls_back_to_serial(self):
-        # dense has a stacked forward but runs faster per sample, so
-        # it is left out of the registry on purpose.
+        # dense could stack but runs faster one lane at a time, so its
+        # plugin does not declare it on purpose.
         model = ModelCache.get(MODEL)
         for method, quantized in (
             ("framefusion", False), ("dense", False), ("dense", True),
         ):
-            assert method not in BATCH_METHOD_REGISTRY
-            assert make_batch_plugin(
-                method, model, quantized=quantized
-            ) is None
+            plugin = make_plugin(method, model)
+            if quantized:
+                plugin = Int8ActivationPlugin(plugin)
+            assert plugin.stackable is False
             serial = self._eval(method, quantized, 1)
             batched = self._eval(method, quantized, 4)
             assert batched == serial, method
@@ -298,6 +300,32 @@ class TestEvalParity:
         buckets = bucket_samples(samples)
         assert len(buckets) == len(RAGGED_DATASETS)
         assert sorted(i for b in buckets for i in b) == list(range(6))
+
+
+class TestStacking:
+    """Which plugins stack, and the refusal of those that do not."""
+
+    STACKABLE = {"focus", "focus-sec", "focus-sic", "focus-token"}
+
+    def test_declarations(self, tiny_model):
+        for method in METHOD_REGISTRY:
+            plugin = make_plugin(method, tiny_model)
+            expected = method in self.STACKABLE
+            assert plugin.stackable is expected, method
+            assert Int8ActivationPlugin(plugin).stackable is expected
+
+    @pytest.mark.parametrize("make", [
+        lambda model: FrameFusionPlugin(model.config),
+        lambda model: AdaptiveFocusPlugin(model),
+        lambda model: Int8ActivationPlugin(FrameFusionPlugin(model.config)),
+        lambda model: None,
+    ], ids=["framefusion", "focus-topp", "framefusion-int8", "dense"])
+    def test_more_than_one_lane_refused(self, tiny_model, tiny_sample, make):
+        plugin = make(tiny_model)
+        with pytest.raises(ValueError, match="does not stack"):
+            tiny_model.forward_batch([tiny_sample, tiny_sample], plugin)
+        # One lane is always allowed.
+        assert len(tiny_model.forward_batch([tiny_sample], plugin)) == 1
 
 
 class TestForwardBatchKnob:

@@ -1,9 +1,12 @@
 """The golden digest ledger: one end-to-end lock on every report's bits.
 
-``tests/golden/report_digests.json`` holds the ``run-done`` report
-digests of ``all --samples 1 --seed 0``.  A refactor that changes any
-report's bytes fails here; refresh the ledger only for an intended
-change, with ``scripts/refresh_golden.py --reason TEXT``.
+``tests/golden/report_digests.json`` holds, per ledger command, the
+``run-done`` report digests of its default run: ``all --samples 1
+--seed 0``, and ``table2 table4 --samples 2 --seed 0``, whose cells
+have two samples each, so a stacked run puts two lanes in one pass.
+A refactor that changes any report's bytes fails here; refresh the
+ledger only for an intended change, with
+``scripts/refresh_golden.py --reason TEXT``.
 """
 
 import json
@@ -19,18 +22,42 @@ import repro
 LEDGER = pathlib.Path(__file__).parent / "golden" / "report_digests.json"
 
 
-@pytest.mark.slow
-def test_default_run_matches_golden_digests(tmp_path):
-    # The default command: a worker pool sized to the usable CPUs.
-    golden = json.loads(LEDGER.read_text())
+def _ledger_entry(argv):
+    for entry in json.loads(LEDGER.read_text()):
+        if entry["argv"] == argv:
+            return entry
+    raise LookupError(f"no ledger entry for {argv}")
+
+
+def _run_reports(argv, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
     jsonl = tmp_path / "progress.jsonl"
     subprocess.run(
-        [sys.executable, "-m", "repro.cli", *golden["argv"],
+        [sys.executable, "-m", "repro.cli", *argv,
          "--progress-jsonl", str(jsonl)],
         env=env, check=True, stdout=subprocess.DEVNULL, timeout=600,
     )
     done = json.loads(jsonl.read_text().splitlines()[-1])
     assert done["event"] == "run-done"
-    assert done["reports"] == golden["reports"]
+    return done["reports"]
+
+
+@pytest.mark.slow
+def test_default_run_matches_golden_digests(tmp_path):
+    # The default command: a worker pool sized to the usable CPUs.
+    golden = _ledger_entry(["all", "--samples", "1", "--seed", "0"])
+    assert _run_reports(golden["argv"], tmp_path) == golden["reports"]
+
+
+@pytest.mark.slow
+def test_two_lane_stacks_match_golden_digests(tmp_path):
+    # The ledger holds the default (one-lane) run; two-lane stacks
+    # must reproduce it bit for bit.
+    golden = _ledger_entry(
+        ["table2", "table4", "--samples", "2", "--seed", "0"]
+    )
+    reports = _run_reports(
+        [*golden["argv"], "--forward-batch", "2"], tmp_path
+    )
+    assert reports == golden["reports"]

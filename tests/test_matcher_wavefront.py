@@ -282,13 +282,13 @@ class _DtypeProbe(InferencePlugin):
         self.probs_dtypes = set()
         self.gemm_dtypes = set()
 
-    def after_attention_probs(self, layer_index, probs, state):
+    def after_attention_probs(self, layer_index, probs, batch):
         self.probs_dtypes.add(probs.dtype)
         return None
 
-    def gemm_input(self, layer_index, site, x, state, producer, n):
+    def gemm_input(self, layer_index, site, x, batch, producers, n):
         self.gemm_dtypes.add(x.dtype)
-        return x, None
+        return x, [None] * batch.num_lanes
 
 
 class TestAttentionDtype:
@@ -338,8 +338,8 @@ class TestLazyAttentionSummary:
         class Probe(InferencePlugin):
             saw = None
 
-            def finish(self, state):
-                Probe.saw = "attn_received" in state.scratch
+            def finish(self, batch):
+                Probe.saw = "attn_received" in batch.lanes[0].scratch
 
         tiny_model.forward(tiny_sample, Probe())
         assert Probe.saw is False
@@ -350,8 +350,8 @@ class TestLazyAttentionSummary:
         class Probe(FrameFusionPlugin):
             saw = None
 
-            def finish(self, state):
-                Probe.saw = "attn_received" in state.scratch
+            def finish(self, batch):
+                Probe.saw = "attn_received" in batch.lanes[0].scratch
 
         probe = Probe(tiny_model.config)
         tiny_model.forward(tiny_sample, probe)

@@ -171,7 +171,7 @@ class TestPluginHooks:
         calls = []
 
         class Recorder(InferencePlugin):
-            def begin(self, state):
+            def begin(self, batch):
                 calls.append("begin")
 
             def on_visual_tokens(self, state):
@@ -180,7 +180,7 @@ class TestPluginHooks:
             def before_layer(self, layer_index, state):
                 calls.append(f"layer{layer_index}")
 
-            def finish(self, state):
+            def finish(self, batch):
                 calls.append("finish")
 
         tiny_model.forward(tiny_sample, Recorder())
@@ -195,9 +195,9 @@ class TestPluginHooks:
         sites = []
 
         class Recorder(InferencePlugin):
-            def gemm_input(self, layer_index, site, x, state, producer, n):
+            def gemm_input(self, layer_index, site, x, batch, producers, n):
                 sites.append(site)
-                return x, None
+                return x, [None] * batch.num_lanes
 
         tiny_model.forward(tiny_sample, Recorder())
         assert set(sites) == {"qkv", "o_proj", "fc1"}

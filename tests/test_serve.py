@@ -33,6 +33,7 @@ from repro.serve import (
     RunCancelled,
     events as codec,
 )
+from repro.load.trace import LoadRequest
 from repro.serve.server import MAX_BODY_BYTES, RunLog, ServeApp
 
 TEST_KIND = "serve-test"
@@ -708,6 +709,34 @@ class TestHttpFrontend:
                     port, "GET", f"/runs/{run_id}"
                 )
                 assert body["status"] == "cancelled"
+
+        asyncio.run(scenario())
+
+    def test_unknown_spec_keys_rejected(self, tiny_experiment):
+        async def scenario():
+            app = ServeApp(AsyncExperimentEngine(ExperimentEngine()))
+            async with serving(app) as (server, port):
+                status, body = await _json_request(
+                    port, "POST", "/runs",
+                    {"experiments": [tiny_experiment], "sampels": 1,
+                     "matcher": "reference"},
+                )
+                assert status == 400
+                assert "['matcher', 'sampels']" in body["error"]
+                assert not app.runs
+                # The body `repro load` sends, plus on_error, is known.
+                spec = LoadRequest(experiments=(tiny_experiment,)).spec()
+                spec["on_error"] = "collect"
+                status, run = await _json_request(
+                    port, "POST", "/runs", spec
+                )
+                assert status == 201
+                _, raw = await _request(
+                    port, "GET", f"/runs/{run['run_id']}/events"
+                )
+                assert codec.parse_sse(raw.decode())[-1]["event"] == (
+                    "run-done"
+                )
 
         asyncio.run(scenario())
 
