@@ -13,7 +13,7 @@ rate, giving future PRs a perf trajectory for the evaluation phase
 like BENCH_sim.json provides for simulation.
 
 The batched-forward arm (``test_batched_forward_throughput``) rides
-on the same file: serial vs ``forward_batch=8`` wall-clock on the
+on the same file: serial vs ``--forward-batch 8`` wall-clock on the
 large zoo config, the measured speedup against its no-regression
 gate, and the shape-bucket statistics of the batched sweep.
 """
@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.config import FocusConfig
 from repro.engine import EvalJob, ExperimentEngine
 from repro.eval.eval_shards import EVAL_SHARD_KIND
 from repro.eval.runner import ModelCache, bucket_samples, evaluate_samples
@@ -250,26 +249,26 @@ def test_batched_forward_throughput(benchmark, results_dir):
     )
     buckets = bucket_samples(samples)
 
-    def cell(config):
+    def cell(forward_batch):
         return evaluate_samples(
-            model, samples, "focus", config=config,
+            model, samples, "focus",
             model_name=model_name, dataset_name=dataset,
+            forward_batch=forward_batch,
         )
 
-    def best_of(config):
+    def best_of(forward_batch):
         wall, result = float("inf"), None
         for _ in range(BATCH_ROUNDS):
             start = time.perf_counter()
-            result = cell(config)
+            result = cell(forward_batch)
             wall = min(wall, time.perf_counter() - start)
         return wall, result
 
-    serial_wall, serial_result = best_of(FocusConfig())
-    batched_config = FocusConfig(forward_batch=FORWARD_BATCH)
+    serial_wall, serial_result = best_of(1)
     benchmark.pedantic(
-        lambda: cell(batched_config), rounds=1, iterations=1
+        lambda: cell(FORWARD_BATCH), rounds=1, iterations=1
     )
-    batched_wall, batched_result = best_of(batched_config)
+    batched_wall, batched_result = best_of(FORWARD_BATCH)
 
     # The tentpole guarantee: stacking changes wall-clock only.
     assert batched_result == serial_result

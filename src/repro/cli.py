@@ -45,12 +45,13 @@ Flags:
     With ``--progress``, finished spans stream their cell's running
     accuracy/sparsity.
 ``--forward-batch N``
-    Lanes per forward pass for every scheduled cell (default: 1,
-    one sample per pass).  Same-shape samples stack into one
-    tensorized pass; results are bit-identical for any batch size,
-    only wall-clock differs.  Methods whose plugin does not stack
-    (``dense``, ``focus-topp`` and the baselines) run one lane at a
-    time.
+    Lanes per forward pass for every executed job (default: 1, one
+    sample per pass).  Same-shape samples stack into one tensorized
+    pass; results are bit-identical for any batch size, only
+    wall-clock differs, so the lane count is not part of any job key
+    and a warm cache serves every value.  Methods whose plugin does
+    not stack (``dense``, ``focus-topp`` and the baselines) run one
+    lane at a time.
 ``--retries N``
     Extra attempts per failed job (default: 0).  Attempts back off
     exponentially from ``--retry-backoff`` with deterministic jitter
@@ -110,9 +111,8 @@ Flags:
     event writes through to a durable SQLite run store (default
     ``repro-runs.sqlite``; disable with ``--no-store``), so resume is
     lossless past ring eviction and across restarts.  Serve flags:
-    ``--host/--port/--workers/--eval-shards/--cache-dir/--cache-max-mb/
-    --no-cache/--retries/--retry-backoff/--job-timeout/--ring-size/
-    --store-path/--no-store``.
+    ``--host/--port/--ring-size/--store-path/--no-store`` plus every
+    engine flag above (:func:`add_engine_flags`, same defaults).
 
 ``replay`` subcommand
     ``python -m repro.cli replay <run-id>`` re-streams a stored run
@@ -162,6 +162,7 @@ from repro.engine import (
 from repro.engine import registry
 from repro.engine.registry import (
     EXPERIMENT_REGISTRY,
+    RunSpec,
     experiment_names,
 )
 from repro.eval import reporting as rep  # noqa: F401  (attaches formatters)
@@ -274,6 +275,86 @@ def scenario_spec(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def directory(text: str) -> str:
+    """Argparse type: a directory path (created later if missing)."""
+    if Path(text).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} exists and is not a directory"
+        )
+    return text
+
+
+def add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the engine flags :func:`make_engine` reads.
+
+    The CLI and ``repro serve`` both call this, so the two accept the
+    same engine flags with the same defaults.
+    """
+    group = parser.add_argument_group("engine")
+    group.add_argument(
+        "--workers", type=positive_int, default=auto_workers(),
+        help="worker processes, one BLAS thread each (default: usable "
+             f"CPUs, at most {AUTO_WORKERS_MAX}; 1 runs in-process; "
+             "results are identical for any count)",
+    )
+    group.add_argument(
+        "--eval-shards", type=positive_int, default=None,
+        help="samples per evaluation shard (default: whole cells; "
+             "results are identical for any span size)",
+    )
+    group.add_argument(
+        "--forward-batch", type=positive_int, default=1,
+        help="lanes per forward pass (default: 1; same-shape samples "
+             "stack into one tensorized pass — results are "
+             "bit-identical and cached alike, only wall-clock differs)",
+    )
+    group.add_argument(
+        "--retries", type=nonnegative_int, default=0,
+        help="extra attempts per failed job (default: 0; retried "
+             "results are bit-identical to first-try ones)",
+    )
+    group.add_argument(
+        "--retry-backoff", type=nonnegative_float, default=0.05,
+        metavar="SECONDS",
+        help="base backoff before a job's second attempt (default: "
+             "0.05; doubles per retry with deterministic jitter)",
+    )
+    group.add_argument(
+        "--job-timeout", type=positive_float, default=None,
+        metavar="SECONDS",
+        help="per-job wall-clock budget, enforced on the worker pool "
+             "(--workers 1 disables it): a hung job's worker is "
+             "reclaimed and the job retries or fails per --retries",
+    )
+    group.add_argument(
+        "--cache-dir", type=directory, default=None,
+        help="on-disk result cache directory (reused across runs)",
+    )
+    group.add_argument(
+        "--cache-max-mb", type=nonnegative_float, default=None,
+        help="LRU-prune the disk cache to at most this many megabytes",
+    )
+    tier = group.add_mutually_exclusive_group()
+    tier.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the evaluation result cache",
+    )
+    tier.add_argument(
+        "--remote-cache", type=http_url, default=None, metavar="URL",
+        help="shared result-cache server (repro.cli cache-server) "
+             "consulted after the memory and disk tiers; results are "
+             "published back asynchronously and digest-verified on "
+             "fetch",
+    )
+    group.add_argument(
+        "--peers", type=peer_list, default=None, metavar="URLS",
+        help="comma-separated 'repro serve' peer base URLs; job "
+             "batches are partitioned over the fleet by rendezvous "
+             "hashing, and an unreachable peer's share falls back to "
+             "local execution (results stay bit-identical)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -284,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment names (or 'list' / 'all')",
     )
     parser.add_argument(
-        "--samples", type=int, default=None,
+        "--samples", type=positive_int, default=None,
         help="samples per evaluation cell (default: driver default)",
     )
     parser.add_argument(
@@ -298,72 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
              "shares one content-addressed cache entry)",
     )
     parser.add_argument(
-        "--workers", type=positive_int, default=auto_workers(),
-        help="worker processes, one BLAS thread each (default: usable "
-             f"CPUs, at most {AUTO_WORKERS_MAX}; 1 runs in-process; "
-             "results are identical for any count)",
-    )
-    parser.add_argument(
-        "--eval-shards", type=positive_int, default=None,
-        help="samples per evaluation shard (default: whole cells; "
-             "results are identical for any span size)",
-    )
-    parser.add_argument(
-        "--forward-batch", type=int, default=None,
-        help="forward-pass batch size (default: 1, one sample per pass; "
-             "same-shape samples stack into one tensorized pass — "
-             "results are bit-identical, only wall-clock differs)",
-    )
-    parser.add_argument(
-        "--retries", type=nonnegative_int, default=0,
-        help="extra attempts per failed job (default: 0; retried "
-             "results are bit-identical to first-try ones)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=nonnegative_float, default=0.05,
-        metavar="SECONDS",
-        help="base backoff before a job's second attempt (default: "
-             "0.05; doubles per retry with deterministic jitter)",
-    )
-    parser.add_argument(
-        "--job-timeout", type=positive_float, default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock budget, enforced on the worker pool "
-             "(--workers 1 disables it): a hung job's worker is "
-             "reclaimed and the job retries or fails per --retries",
-    )
-    parser.add_argument(
         "--on-error", choices=("raise", "collect"), default="raise",
         help="when a job exhausts its attempts: 'raise' aborts the "
              "run (default); 'collect' keeps going, reports failed "
              "experiments as structured summaries, and exits 3",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="on-disk result cache directory (reused across runs)",
-    )
-    parser.add_argument(
-        "--cache-max-mb", type=float, default=None,
-        help="LRU-prune the disk cache to at most this many megabytes",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the evaluation result cache",
-    )
-    parser.add_argument(
-        "--remote-cache", type=http_url, default=None, metavar="URL",
-        help="shared result-cache server (repro.cli cache-server) "
-             "consulted after the memory and disk tiers; results are "
-             "published back asynchronously and digest-verified on "
-             "fetch",
-    )
-    parser.add_argument(
-        "--peers", type=peer_list, default=None, metavar="URLS",
-        help="comma-separated 'repro serve' peer base URLs; job "
-             "batches are partitioned over the fleet by rendezvous "
-             "hashing, and an unreachable peer's share falls back to "
-             "local execution (results stay bit-identical)",
-    )
+    add_engine_flags(parser)
     parser.add_argument(
         "--progress", action="store_true",
         help="stream per-job progress to stderr",
@@ -409,53 +430,33 @@ def _jsonl_progress(stream) -> "ProgressCallback":
 
 
 def make_engine(
-    workers: int = 1,
-    cache_dir: str | None = None,
-    no_cache: bool = False,
-    progress: bool = False,
-    cache_max_mb: float | None = None,
-    eval_shards: int | None = None,
-    progress_jsonl=None,
-    retries: int = 0,
-    retry_backoff: float = 0.05,
-    job_timeout: float | None = None,
-    remote_cache: str | None = None,
-    peers: list[str] | None = None,
+    args: argparse.Namespace, progress_jsonl=None
 ) -> ExperimentEngine:
-    """Build an engine from CLI-style options.
+    """Build the engine the parsed :func:`add_engine_flags` describe.
 
     ``progress_jsonl`` is an open text stream; when given, every
     progress event is also written to it as one canonical JSON line
     (:mod:`repro.serve.events`) — the same wire format the serving
     frontend streams, so offline and served runs are comparable.
-
-    ``retries`` extra attempts per failed job (``max_attempts =
-    retries + 1``) backing off from ``retry_backoff`` seconds, and
-    ``job_timeout`` caps each job's wall clock (enforced on the pool,
-    so not at ``workers=1``).
-
-    ``remote_cache`` is a cache-server base URL wired in as the
-    third lookup tier, and ``peers`` a list of ``repro serve`` base
-    URLs to fan job batches out to (rendezvous-partitioned, with
-    local fallback for any share a peer cannot finish).
+    ``--progress`` (CLI only) adds human-readable lines on stderr.
     """
-    max_disk_bytes = (
-        int(cache_max_mb * 1e6) if cache_max_mb is not None else None
-    )
     remote = None
-    if remote_cache is not None and not no_cache:
+    if args.remote_cache is not None:
         # Lazy: only remote-tier runs pay for the client stack.
         from repro.remote.client import RemoteCacheClient
 
-        remote = RemoteCacheClient(remote_cache)
+        remote = RemoteCacheClient(args.remote_cache)
     cache = ResultCache(
-        cache_dir=cache_dir,
-        enabled=not no_cache,
-        max_disk_bytes=max_disk_bytes,
+        cache_dir=args.cache_dir,
+        enabled=not args.no_cache,
+        max_disk_bytes=(
+            None if args.cache_max_mb is None
+            else int(args.cache_max_mb * 1e6)
+        ),
         remote=remote,
     )
     callbacks = []
-    if progress:
+    if getattr(args, "progress", False):
         callbacks.append(_print_progress)
     if progress_jsonl is not None:
         callbacks.append(_jsonl_progress(progress_jsonl))
@@ -468,18 +469,19 @@ def make_engine(
             for each in callbacks:
                 each(event)
     retry_policy = None
-    if retries > 0:
+    if args.retries > 0:
         retry_policy = RetryPolicy(
-            max_attempts=retries + 1, backoff_s=retry_backoff
+            max_attempts=args.retries + 1, backoff_s=args.retry_backoff
         )
     return ExperimentEngine(
-        workers=workers,
+        workers=args.workers,
         cache=cache,
         progress=callback,
-        eval_shards=eval_shards,
+        eval_shards=args.eval_shards,
         retry_policy=retry_policy,
-        job_timeout_s=job_timeout,
-        peers=peers,
+        job_timeout_s=args.job_timeout,
+        peers=args.peers,
+        forward_batch=args.forward_batch,
     )
 
 
@@ -488,13 +490,12 @@ def run_experiment(
     samples: int | None = None,
     seed: int = 0,
     engine: ExperimentEngine | None = None,
-    forward_batch: int | None = None,
     on_error: str = "raise",
     scenario: str | None = None,
 ) -> str:
     """Run one experiment and return its formatted report."""
     text, = run_experiments(
-        [name], samples, seed, engine, forward_batch, on_error, scenario,
+        [name], samples, seed, engine, on_error, scenario,
     ).values()
     return text
 
@@ -504,7 +505,6 @@ def run_experiments(
     samples: int | None = None,
     seed: int = 0,
     engine: ExperimentEngine | None = None,
-    forward_batch: int | None = None,
     on_error: str = "raise",
     scenario: str | None = None,
 ) -> dict[str, str]:
@@ -516,20 +516,13 @@ def run_experiments(
     permanently lost render their deterministic failure summary
     instead of raising.
     """
-    reports, _ = _run_detailed(
-        names, samples, seed, engine, forward_batch, on_error, scenario,
-    )
+    spec = RunSpec(tuple(names), samples, seed, scenario, on_error)
+    reports, _ = _run_detailed(spec, engine)
     return reports
 
 
 def _run_detailed(
-    names: list[str],
-    samples: int | None,
-    seed: int,
-    engine: ExperimentEngine | None,
-    forward_batch: int | None,
-    on_error: str,
-    scenario: str | None = None,
+    spec: RunSpec, engine: ExperimentEngine | None = None
 ) -> tuple[dict[str, str], dict[str, object]]:
     """Run a schedule; return formatted reports + structured failures.
 
@@ -537,16 +530,9 @@ def _run_detailed(
     "collect"`` only) to its :meth:`~repro.engine.faults.
     ExperimentFailure.as_detail` record.
     """
-    engine = engine if engine is not None else make_engine()
-    params: dict = {"seed": seed}
-    if samples is not None:
-        params["num_samples"] = samples
-    if forward_batch is not None:
-        params["forward_batch"] = forward_batch
-    if scenario is not None:
-        params["scenario"] = scenario
+    engine = engine if engine is not None else ExperimentEngine()
     results = registry.run_experiments(
-        names, engine, on_error=on_error, **params
+        spec.experiments, engine, on_error=spec.on_error, **spec.params
     )
     reports = {}
     failures: dict[str, object] = {}
@@ -582,34 +568,21 @@ def main(argv: list[str] | None = None) -> int:
         return load_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_cache and args.remote_cache is not None:
-        parser.error("--no-cache conflicts with --remote-cache")
     names = list(args.experiments)
-    available = experiment_names()
     if names == ["list"]:
-        for name in available:
+        for name in experiment_names():
             print(f"  {name:10s} {EXPERIMENT_REGISTRY[name].description}")
         return 0
     if names == ["all"]:
-        names = list(available)
-    unknown = [n for n in names if n not in available]
-    if unknown:
-        print(f"unknown experiments: {unknown}; try 'list'",
-              file=sys.stderr)
-        return 2
-    if args.scenario is not None and set(names) != {"scenario"}:
-        # run_experiments forwards params to every requested plan
-        # factory, and only the scenario factory accepts a spec.
-        parser.error("--scenario only applies to the 'scenario' "
-                     "experiment")
-    if args.cache_dir is not None:
-        cache_path = Path(args.cache_dir)
-        if cache_path.exists() and not cache_path.is_dir():
-            print(
-                f"--cache-dir {args.cache_dir!r} exists and is not a "
-                "directory", file=sys.stderr,
-            )
-            return 2
+        names = list(experiment_names())
+    try:
+        spec = RunSpec.from_record({
+            "experiments": names, "samples": args.samples,
+            "seed": args.seed, "scenario": args.scenario,
+            "on_error": args.on_error,
+        })
+    except ValueError as exc:
+        parser.error(str(exc))
 
     jsonl_stream = None
     if args.progress_jsonl is not None:
@@ -617,39 +590,16 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr if args.progress_jsonl == "-"
             else open(args.progress_jsonl, "w", encoding="utf-8")
         )
-    engine = make_engine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        progress=args.progress,
-        cache_max_mb=args.cache_max_mb,
-        eval_shards=args.eval_shards,
-        progress_jsonl=jsonl_stream,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        job_timeout=args.job_timeout,
-        remote_cache=args.remote_cache,
-        peers=args.peers,
-    )
+    engine = make_engine(args, progress_jsonl=jsonl_stream)
     start = time.time()
     if jsonl_stream is not None:
         from repro.serve import events as codec
 
-        params = {"seed": args.seed}
-        if args.samples is not None:
-            params["num_samples"] = args.samples
-        if args.forward_batch is not None:
-            params["forward_batch"] = args.forward_batch
-        if args.scenario is not None:
-            params["scenario"] = args.scenario
         jsonl_stream.write(codec.to_json(
-            codec.encode_run_started("offline", names, params)
+            codec.encode_run_started("offline", names, spec.params)
         ) + "\n")
     try:
-        reports, failures = _run_detailed(
-            names, args.samples, args.seed, engine, args.forward_batch,
-            args.on_error, args.scenario,
-        )
+        reports, failures = _run_detailed(spec, engine)
     except BaseException as exc:
         if jsonl_stream is not None:
             # Terminate the stream explicitly: consumers must be able

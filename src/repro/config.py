@@ -38,23 +38,19 @@ class FocusConfig:
             vector is considered redundant (Table I: 0.9).
         m_tile: GEMM output-tile height; similarity gathering never
             crosses a tile boundary (Table I: 1024).
-        n_tile: GEMM output-tile width, equal to the vector size and to
-            the systolic-array width ``a`` (Table I: 32).
         retention_schedule: Map from layer index to the fraction of the
             *original* image-token count retained from that layer on.
         schedule_depth: Depth of the model the schedule was written for;
             schedules are rescaled proportionally for other depths.
         max_sorter_lanes: Width ``a`` of the streaming bubble sorter.
-        scatter_accumulators: Number of parallel accumulators in the
-            similarity scatter (Fig. 10(d) optimum: 64).
         fp16: Whether activations are rounded through FP16 between
             layers, matching the FP16-multiplier datapath.
-        forward_batch: Samples stacked into one forward pass (CLI
-            ``--forward-batch``).  ``1`` runs one-lane stacks; any
-            value produces bit-identical per-sample results, only
-            wall-clock changes.  Methods whose plugin does not stack
-            (:attr:`~repro.model.plugins.InferencePlugin.stackable`)
-            run one lane at a time whatever the value.
+
+    Every field can change a concentrated result, so all of them key
+    each evaluation job (:func:`~repro.engine.jobs.config_digest`).
+    Execution knobs such as the forward-pass lane count
+    (``--forward-batch``) do not, and live on
+    :class:`~repro.engine.scheduler.ExperimentEngine` instead.
     """
 
     block_frames: int = 2
@@ -63,27 +59,22 @@ class FocusConfig:
     vector_size: int = 32
     similarity_threshold: float = 0.9
     m_tile: int = 1024
-    n_tile: int = 32
     retention_schedule: dict[int, float] = field(
         default_factory=_default_retention_schedule
     )
     schedule_depth: int = 28
     max_sorter_lanes: int = 32
-    scatter_accumulators: int = 64
     fp16: bool = True
-    forward_batch: int = 1
 
     def __post_init__(self) -> None:
         if self.vector_size <= 0:
             raise ValueError("vector_size must be positive")
         if not 0.0 < self.similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must lie in (0, 1]")
-        if self.m_tile <= 0 or self.n_tile <= 0:
-            raise ValueError("tile dimensions must be positive")
+        if self.m_tile <= 0:
+            raise ValueError("m_tile must be positive")
         if min(self.block_frames, self.block_height, self.block_width) < 1:
             raise ValueError("block dimensions must be >= 1")
-        if self.forward_batch < 1:
-            raise ValueError("forward_batch must be >= 1")
         for layer, ratio in self.retention_schedule.items():
             if layer < 0:
                 raise ValueError(f"retention layer {layer} must be >= 0")

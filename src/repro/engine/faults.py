@@ -460,7 +460,8 @@ def active_fault_plan() -> FaultPlan | None:
 
 
 def run_job_attempt(
-    job: EvalJob, attempt: int = 1, in_worker: bool = False
+    job: EvalJob, attempt: int = 1, in_worker: bool = False,
+    forward_batch: int = 1,
 ) -> Any:
     """Execute one job attempt, applying the active fault plan first.
 
@@ -473,4 +474,4 @@ def run_job_attempt(
     plan = active_fault_plan()
     if plan is not None:
         plan.apply(job, attempt, in_worker=in_worker)
-    return execute_job(job)
+    return execute_job(job, forward_batch)

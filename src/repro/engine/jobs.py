@@ -153,7 +153,9 @@ class EvalJob:
         )
 
 
-JobExecutor = Callable[[EvalJob], Any]
+JobExecutor = Callable[[EvalJob, int], Any]
+"""``executor(job, forward_batch)``: the second argument is the engine's
+forward-pass lane count, an execution knob outside the job's key."""
 
 JOB_EXECUTORS: dict[str, JobExecutor] = {}
 """Kind name -> executor.  Populated at import time by this module
@@ -171,7 +173,7 @@ def register_job_kind(kind: str) -> Callable[[JobExecutor], JobExecutor]:
 
 
 @register_job_kind("eval")
-def _execute_eval(job: EvalJob) -> Any:
+def _execute_eval(job: EvalJob, forward_batch: int) -> Any:
     from repro.eval.runner import evaluate
 
     return evaluate(
@@ -182,6 +184,7 @@ def _execute_eval(job: EvalJob) -> Any:
         job.sample_seed,
         config=job.config,
         quantized=job.quantized,
+        forward_batch=forward_batch,
     )
 
 
@@ -210,13 +213,14 @@ def _ensure_kind_loaded(kind: str, provider: str = "") -> None:
         importlib.import_module(module)
 
 
-def execute_job(job: EvalJob) -> Any:
+def execute_job(job: EvalJob, forward_batch: int = 1) -> Any:
     """Run one job to completion (worker-process entry point).
 
     The process-global NumPy RNG is seeded from ``(seed, job key)``
     first, so even code that (incorrectly) reaches for global
     randomness behaves identically under any worker count and
-    scheduling order.
+    scheduling order.  ``forward_batch`` (lanes per forward pass) only
+    changes wall-clock, so it is passed to the executor, not keyed.
     """
     np.random.seed(derive_seed(job.seed, *job.key) % (2**32))
     _ensure_kind_loaded(job.kind, job.provider)
@@ -227,4 +231,4 @@ def execute_job(job: EvalJob) -> Any:
             f"unknown job kind {job.kind!r}; "
             f"available: {sorted(JOB_EXECUTORS)}"
         ) from None
-    return executor(job)
+    return executor(job, forward_batch)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import importlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.engine.cache import ResultCache
@@ -137,6 +137,99 @@ def format_result(name: str, result: Any) -> str:
     importlib.import_module("repro.eval.reporting")
     formatter = get_spec(name).formatter
     return formatter(result) if formatter is not None else repr(result)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """What one run executes: its experiments and their parameters.
+
+    The CLI, ``POST /runs`` bodies and ``repro load`` trace records are
+    all validated by :meth:`from_record`, so every entry point accepts
+    exactly the same runs.
+    """
+
+    experiments: tuple[str, ...]
+    samples: int | None = None
+    seed: int = 0
+    scenario: str | None = None
+    on_error: str = "raise"
+
+    @classmethod
+    def from_record(cls, record: object) -> "RunSpec":
+        """Validate a JSON-shaped spec; raise ``ValueError`` naming the
+        first bad field.  ``scenario`` comes back canonicalized, so
+        every spelling of one spec shares one schedule."""
+        if not isinstance(record, dict):
+            raise ValueError("a run spec must be a JSON object")
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(record) - set(known))
+        if unknown:
+            # A misspelt or retired key would otherwise run with its
+            # default.
+            raise ValueError(
+                f"unknown fields {unknown}; a run spec takes {known}"
+            )
+        names = record.get("experiments")
+        if (not isinstance(names, list) or not names
+                or not all(isinstance(n, str) for n in names)):
+            raise ValueError(
+                "'experiments' must be a non-empty list of names, "
+                f"got {names!r}"
+            )
+        available = experiment_names()
+        missing = [n for n in names if n not in available]
+        if missing:
+            raise ValueError(
+                f"unknown experiments {missing}; "
+                f"available: {sorted(available)}"
+            )
+        samples = record.get("samples")
+        if samples is not None and not (_is_int(samples) and samples >= 1):
+            raise ValueError(
+                f"'samples' must be an integer >= 1, got {samples!r}"
+            )
+        seed = record.get("seed", 0)
+        if not _is_int(seed):
+            raise ValueError(f"'seed' must be an integer, got {seed!r}")
+        scenario = record.get("scenario")
+        if scenario is not None:
+            if not isinstance(scenario, str):
+                raise ValueError(
+                    f"'scenario' must be a string, got {scenario!r}"
+                )
+            if set(names) != {"scenario"}:
+                # Params go to every requested plan factory, and only
+                # the scenario factory accepts a spec.
+                raise ValueError(
+                    "'scenario' only applies to the 'scenario' experiment"
+                )
+            from repro.workloads.scenarios import parse_scenario
+
+            try:
+                scenario = parse_scenario(scenario).name
+            except ValueError as exc:
+                raise ValueError(f"bad scenario spec: {exc}") from None
+        on_error = record.get("on_error", "raise")
+        if on_error not in ("raise", "collect"):
+            raise ValueError(
+                "'on_error' must be \"raise\" or \"collect\", "
+                f"got {on_error!r}"
+            )
+        return cls(tuple(names), samples, seed, scenario, on_error)
+
+    @property
+    def params(self) -> dict[str, Any]:
+        """The keyword parameters every plan factory of the run gets."""
+        params: dict[str, Any] = {"seed": self.seed}
+        if self.samples is not None:
+            params["num_samples"] = self.samples
+        if self.scenario is not None:
+            params["scenario"] = self.scenario
+        return params
 
 
 _default_engine: ExperimentEngine | None = None

@@ -211,6 +211,12 @@ class ExperimentEngine:
             in-flight jobs are re-dispatched without penalty, and the
             timed-out job is retried or failed per the retry policy.
             ``None`` (default) disables the budget.
+        forward_batch: Lanes per forward pass (the CLI's
+            ``--forward-batch``; default 1).  Handed to every job's
+            execution, never part of its key: results are
+            bit-identical for any value, so a warm cache serves them
+            whatever it is.  A fleet peer runs its share with its own
+            engine's value.
         peers: Fleet peer base URLs (the CLI's ``--peers``) — other
             ``repro serve`` processes exposing ``POST /jobs``.  Each
             batch is partitioned by rendezvous hashing on job id over
@@ -237,6 +243,7 @@ class ExperimentEngine:
         retry_policy: RetryPolicy | None = None,
         job_timeout_s: float | None = None,
         peers: Iterable[str] | None = None,
+        forward_batch: int = 1,
     ) -> None:
         self.workers = max(1, int(workers))
         self.cache = cache if cache is not None else ResultCache()
@@ -255,6 +262,11 @@ class ExperimentEngine:
                 f"job_timeout_s must be > 0, got {job_timeout_s}"
             )
         self.job_timeout_s = job_timeout_s
+        if forward_batch < 1:
+            raise ValueError(
+                f"forward_batch must be >= 1, got {forward_batch}"
+            )
+        self.forward_batch = forward_batch
         self.fleet = None
         peer_urls = list(peers) if peers is not None else []
         if peer_urls:
@@ -440,7 +452,8 @@ class ExperimentEngine:
             state.dispatches += 1
             try:
                 payload = run_job_attempt(
-                    state.job, state.dispatches, in_worker=False
+                    state.job, state.dispatches, in_worker=False,
+                    forward_batch=self.forward_batch,
                 )
             except Exception as exc:
                 state.attempts += 1
@@ -581,7 +594,8 @@ class ExperimentEngine:
                     start, progress=progress,
                 )
             future = pool.submit(
-                run_job_attempt, state.job, state.dispatches + 1, True
+                run_job_attempt, state.job, state.dispatches + 1,
+                in_worker=True, forward_batch=self.forward_batch,
             )
             state.dispatches += 1
             state.deadline = (

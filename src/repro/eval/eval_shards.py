@@ -82,7 +82,7 @@ def plan_eval_shards(job: EvalJob, shard_size: int) -> tuple[EvalJob, ...]:
 
 
 @register_job_kind(EVAL_SHARD_KIND)
-def _execute_eval_shard(job: EvalJob) -> EvalResult:
+def _execute_eval_shard(job: EvalJob, forward_batch: int) -> EvalResult:
     """Evaluate one sample span; return its per-sample records."""
     from repro.eval.runner import evaluate_span
 
@@ -94,6 +94,7 @@ def _execute_eval_shard(job: EvalJob) -> EvalResult:
         job.seed,
         config=job.config,
         quantized=job.quantized,
+        forward_batch=forward_batch,
     )
 
 

@@ -32,7 +32,7 @@ from repro.accel.scaling import PAPER_IMAGE_TOKENS, PAPER_TEXT_TOKENS, scale_to_
 from repro.accel.simulator import SimResult, simulate_many
 from repro.accel.systolic import tile_utilization
 from repro.baselines.gpu import JETSON_ORIN_NANO, simulate_gpu
-from repro.config import DEFAULT_CONFIG, FocusConfig
+from repro.config import DEFAULT_CONFIG
 from repro.engine.jobs import EvalJob
 from repro.engine.registry import ExperimentPlan, register, run_plan
 from repro.engine.scheduler import ExperimentEngine
@@ -44,24 +44,6 @@ IMAGE_DATASETS = ("vqav2", "mme", "mmbench")
 TABLE2_METHODS = ("dense", "framefusion", "adaptiv", "cmc", "focus")
 
 Results = Mapping[EvalJob, Any]
-
-
-def _base_config(
-    forward_batch: int | None = None,
-    **overrides: object,
-) -> FocusConfig:
-    """Per-experiment :class:`FocusConfig` derived from the default.
-
-    ``forward_batch`` is the CLI-level ``--forward-batch`` knob:
-    ``None`` keeps the config default (serial, batch size 1); larger
-    values stack same-shape samples into one tensorized pass.  Every
-    plan factory accepts it so one flag switches an entire schedule.
-    """
-    if forward_batch is not None:
-        overrides["forward_batch"] = forward_batch
-    if not overrides:
-        return DEFAULT_CONFIG
-    return DEFAULT_CONFIG.with_overrides(**overrides)
 
 
 def _paper_scale_sim(
@@ -118,13 +100,11 @@ def plan_table2(
     methods: tuple[str, ...] = TABLE2_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table II: accuracy and sparsity of all methods."""
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
-                num_samples=num_samples, seed=seed,
-                config=_base_config(forward_batch))
+                num_samples=num_samples, seed=seed)
         for model in models
         for dataset in datasets
         for method in methods
@@ -172,7 +152,6 @@ _TABLE3_ARCHS = (
 @register("table3", "architecture config comparison (Table III)")
 def plan_table3(
     num_samples: int = 2, seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table III: per-architecture config, area and power.
 
@@ -181,8 +160,7 @@ def plan_table3(
     """
     jobs = {
         method: EvalJob(model="llava-video", dataset="videomme",
-                        method=method, num_samples=num_samples, seed=seed,
-                        config=_base_config(forward_batch))
+                        method=method, num_samples=num_samples, seed=seed)
         for _, method in _TABLE3_ARCHS
     }
 
@@ -228,7 +206,6 @@ def plan_table4(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table IV: INT8 impact on accuracy and sparsity.
 
@@ -243,7 +220,6 @@ def plan_table4(
         (model, dataset, method, quant): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed, quantized=quant,
-            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -296,7 +272,6 @@ def plan_table5(
     datasets: tuple[str, ...] = IMAGE_DATASETS,
     num_samples: int = 8,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Table V: single-image VLMs (one-frame videos)."""
     target_tokens = PAPER_IMAGE_TOKENS + PAPER_TEXT_TOKENS
@@ -305,7 +280,6 @@ def plan_table5(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -358,7 +332,6 @@ def plan_fig2b(
     vector_sizes: tuple[int, ...] = (8, 16, 32, 64, 96, 192),
     num_samples: int = 3,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(b): finer vectors expose more redundancy.
 
@@ -370,7 +343,6 @@ def plan_fig2b(
     job = EvalJob(
         model=model_name, dataset=dataset, method="similarity-capture",
         num_samples=num_samples, seed=seed, kind="fig2b",
-        config=_base_config(forward_batch),
         extra=(("vector_sizes", tuple(vector_sizes)),
                ("threshold", threshold)),
         provider="repro.eval.similarity_stats",
@@ -406,14 +378,12 @@ def plan_fig2c(
     dataset: str = "videomme",
     num_samples: int = 8,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 2(c): vector-wise beats token-wise and baselines."""
     methods = ("dense", "cmc", "adaptiv", "focus-token", "focus")
     jobs = tuple(
         EvalJob(model=model, dataset=dataset, method=method,
-                num_samples=num_samples, seed=seed,
-                config=_base_config(forward_batch))
+                num_samples=num_samples, seed=seed)
         for method in methods
     )
 
@@ -464,7 +434,6 @@ def plan_fig9(
     datasets: tuple[str, ...] = VIDEO_DATASETS,
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 9: speedup and energy vs all baselines."""
     methods = ("dense", "framefusion", "adaptiv", "cmc", "focus")
@@ -472,7 +441,6 @@ def plan_fig9(
         (model, dataset, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(forward_batch),
         )
         for model in models
         for dataset in datasets
@@ -481,8 +449,7 @@ def plan_fig9(
     # The power-breakdown workload; usually a duplicate of a grid job,
     # which the engine's dedupe collapses for free.
     power_job = EvalJob(model="llava-video", dataset="videomme",
-                        method="focus", num_samples=num_samples, seed=seed,
-                        config=_base_config(forward_batch))
+                        method="focus", num_samples=num_samples, seed=seed)
 
     def assemble(results: Results) -> Fig9Result:
         result = Fig9Result()
@@ -595,7 +562,6 @@ def plan_fig10a(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(a): GEMM m-tile size vs latency and buffer demand.
 
@@ -607,7 +573,7 @@ def plan_fig10a(
     jobs = {}
     for m_tile in m_tiles:
         effective = m_tile if m_tile > 0 else 1 << 20
-        config = _base_config(forward_batch, m_tile=effective)
+        config = DEFAULT_CONFIG.with_overrides(m_tile=effective)
         jobs[m_tile] = EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed, config=config,
@@ -644,14 +610,13 @@ def plan_fig10b(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(b): vector size vs array MACs and accumulator ops."""
     jobs = {
         v: EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
-            config=_base_config(forward_batch, vector_size=v, n_tile=v),
+            config=DEFAULT_CONFIG.with_overrides(vector_size=v),
         )
         for v in vector_sizes
     }
@@ -686,15 +651,13 @@ def plan_fig10c(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(c): SIC block size (f, h, w) vs latency."""
     jobs = {
         (bf, bh, bw): EvalJob(
             model=model, dataset=dataset, method="focus",
             num_samples=num_samples, seed=seed,
-            config=_base_config(
-                forward_batch,
+            config=DEFAULT_CONFIG.with_overrides(
                 block_frames=bf, block_height=bh, block_width=bw
             ),
         )
@@ -730,7 +693,6 @@ def plan_fig10d(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Fig. 10(d): scatter accumulator count vs latency.
 
@@ -739,8 +701,7 @@ def plan_fig10d(
     assemble-side simulations.
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
-                  num_samples=num_samples, seed=seed,
-                  config=_base_config(forward_batch))
+                  num_samples=num_samples, seed=seed)
 
     def assemble(results: Results) -> list[SweepPoint]:
         cell = results[job]
@@ -787,14 +748,12 @@ def plan_fig11(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 11: SEC-only and SEC+SIC vs SA and CMC."""
     methods = ("dense", "cmc", "focus-sec", "focus")
     jobs = {
         method: EvalJob(model=model, dataset=dataset, method=method,
-                        num_samples=num_samples, seed=seed,
-                        config=_base_config(forward_batch))
+                        num_samples=num_samples, seed=seed)
         for method in methods
     }
 
@@ -847,14 +806,12 @@ def plan_fig12(
     dataset: str = "videomme",
     num_samples: int = 4,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 12: DRAM access and activation size ratios."""
     jobs = {
         (model, method): EvalJob(
             model=model, dataset=dataset, method=method,
             num_samples=num_samples, seed=seed,
-            config=_base_config(forward_batch),
         )
         for model in models
         for method, _ in _FIG12_METHODS
@@ -917,7 +874,6 @@ def plan_fig13(
     seed: int = 0,
     bins: int = 24,
     paper_tile_rows: int = 1024,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Reproduce Fig. 13: tile-length histogram and array utilization.
 
@@ -927,8 +883,7 @@ def plan_fig13(
     the paper plots.
     """
     job = EvalJob(model=model, dataset=dataset, method="focus",
-                  num_samples=num_samples, seed=seed,
-                  config=_base_config(forward_batch))
+                  num_samples=num_samples, seed=seed)
 
     def assemble(results: Results) -> Fig13Result:
         merged = results[job].merged_trace
@@ -987,7 +942,6 @@ def plan_scenario(
     methods: tuple[str, ...] = SCENARIO_METHODS,
     num_samples: int = 8,
     seed: int = 0,
-    forward_batch: int | None = None,
 ) -> ExperimentPlan:
     """Evaluate one generative scenario family.
 
@@ -1002,8 +956,7 @@ def plan_scenario(
     spec = parse_scenario(scenario)
     jobs = tuple(
         EvalJob(model=model, dataset=spec.name, method=method,
-                num_samples=num_samples, seed=seed,
-                config=_base_config(forward_batch))
+                num_samples=num_samples, seed=seed)
         for method in methods
     )
 

@@ -161,20 +161,24 @@ def evaluate_samples(
     model_name: str = "",
     dataset_name: str = "",
     quantized: bool = False,
+    forward_batch: int = 1,
 ) -> EvalResult:
     """Run one method over a list of samples.
 
     With ``quantized=True`` the model is expected to carry INT8
     weights and every method plugin is wrapped in
     :class:`~repro.quant.int8.Int8ActivationPlugin`, reproducing the
-    Table IV INT8 arms for any registered method.
+    Table IV INT8 arms for any registered method.  ``forward_batch``
+    caps the lanes per forward pass (see :func:`_forward_outcomes`).
     """
     result = EvalResult(
         model=model_name or model.config.name,
         dataset=dataset_name,
         method=f"{method}-int8" if quantized else method,
     )
-    outcomes = _forward_outcomes(model, samples, method, config, quantized)
+    outcomes = _forward_outcomes(
+        model, samples, method, config, quantized, forward_batch
+    )
     for sample, outcome in zip(samples, outcomes):
         result.correct.append(outcome.correct)
         result.sparsities.append(
@@ -212,11 +216,12 @@ def _forward_outcomes(
     method: str,
     config: FocusConfig,
     quantized: bool,
+    forward_batch: int,
 ) -> list:
     """Per-sample inference outcomes, in sample order.
 
-    Samples run in shape-bucketed stacks of at most
-    ``config.forward_batch`` lanes when the method's plugin is
+    Samples run in shape-bucketed stacks of at most ``forward_batch``
+    lanes when the method's plugin is
     :attr:`~repro.model.plugins.InferencePlugin.stackable`, and one
     lane at a time otherwise; each sample's outcome is bit-identical
     either way.
@@ -226,7 +231,7 @@ def _forward_outcomes(
         return Int8ActivationPlugin(plugin) if quantized else plugin
 
     plugin = fresh_plugin()
-    lanes = config.forward_batch if plugin.stackable else 1
+    lanes = forward_batch if plugin.stackable else 1
     outcomes: list = [None] * len(samples)
     passes = 0
     for bucket in bucket_samples(samples):
@@ -251,6 +256,7 @@ def evaluate_span(
     seed: int = 0,
     config: FocusConfig = DEFAULT_CONFIG,
     quantized: bool = False,
+    forward_batch: int = 1,
 ) -> EvalResult:
     """Evaluate sample indices ``[start, stop)`` of a cell.
 
@@ -272,7 +278,7 @@ def evaluate_span(
     return evaluate_samples(
         model, samples, method, config,
         model_name=model_name, dataset_name=dataset_name,
-        quantized=quantized,
+        quantized=quantized, forward_batch=forward_batch,
     )
 
 
@@ -284,6 +290,7 @@ def evaluate(
     seed: int = 0,
     config: FocusConfig = DEFAULT_CONFIG,
     quantized: bool = False,
+    forward_batch: int = 1,
 ) -> EvalResult:
     """Evaluate a (model, dataset, method) cell.
 
@@ -294,5 +301,5 @@ def evaluate(
     """
     return evaluate_span(
         model_name, dataset_name, method, (0, num_samples), seed,
-        config=config, quantized=quantized,
+        config=config, quantized=quantized, forward_batch=forward_batch,
     )

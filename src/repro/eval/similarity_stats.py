@@ -100,7 +100,7 @@ def similarity_fractions(
 
 
 @register_job_kind("fig2b")
-def _execute_fig2b(job: EvalJob) -> dict[str, object]:
+def _execute_fig2b(job: EvalJob, forward_batch: int) -> dict[str, object]:
     params = job.extra_map
     return similarity_fractions(
         job.model,

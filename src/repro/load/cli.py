@@ -135,17 +135,14 @@ def main(argv: list[str] | None = None) -> int:
             f"--mode {args.mode} conflicts with {other}-loop "
             f"flags: {', '.join(bad)}"
         )
-    if args.scenario is not None and list(args.experiments) != ["scenario"]:
-        parser.error("--scenario only applies to the 'scenario' "
-                     "experiment")
-
-    template = LoadRequest(
-        experiments=tuple(args.experiments),
-        samples=args.samples,
-        seed=args.seed,
-        scenario=args.scenario,
-        subscribers=args.subscribers,
-    )
+    try:
+        template = LoadRequest.from_record({
+            "experiments": args.experiments, "samples": args.samples,
+            "seed": args.seed, "scenario": args.scenario,
+            "subscribers": args.subscribers,
+        }, where="request template")
+    except TraceError as exc:
+        parser.error(str(exc))
     trace = None
     if args.trace is not None:
         try:

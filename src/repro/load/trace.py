@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.engine.registry import RunSpec
 from repro.utils.rng import rng_for
 
 
@@ -23,7 +24,8 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class LoadRequest:
-    """One request of a traffic trace."""
+    """One request of a traffic trace: a run spec plus its arrival
+    time and event-stream fan-out."""
 
     at_s: float = 0.0
     experiments: tuple[str, ...] = ("fig13",)
@@ -31,6 +33,7 @@ class LoadRequest:
     seed: int = 0
     scenario: str | None = None
     subscribers: int = 1
+    on_error: str = "raise"
 
     def spec(self) -> dict:
         """The ``POST /runs`` body this request submits."""
@@ -40,68 +43,48 @@ class LoadRequest:
             spec["samples"] = self.samples
         if self.scenario is not None:
             spec["scenario"] = self.scenario
+        if self.on_error != "raise":
+            spec["on_error"] = self.on_error
         return spec
 
     def as_record(self) -> dict:
-        record: dict = {
-            "at_s": self.at_s,
-            "experiments": list(self.experiments),
-            "seed": self.seed,
-            "subscribers": self.subscribers,
-        }
-        if self.samples is not None:
-            record["samples"] = self.samples
-        if self.scenario is not None:
-            record["scenario"] = self.scenario
-        return record
+        return {"at_s": self.at_s, "subscribers": self.subscribers,
+                **self.spec()}
 
     @classmethod
     def from_record(cls, record: object, where: str = "trace")\
             -> "LoadRequest":
+        """Parse a trace record: ``at_s`` and ``subscribers``, with
+        everything else validated as a run spec
+        (:meth:`~repro.engine.registry.RunSpec.from_record`)."""
         if not isinstance(record, dict):
             raise TraceError(f"{where}: record must be a JSON object, "
                              f"got {type(record).__name__}")
-        known = {"at_s", "experiments", "samples", "seed", "scenario",
-                 "subscribers"}
-        unknown = sorted(set(record) - known)
-        if unknown:
-            raise TraceError(f"{where}: unknown fields {unknown}")
-        at_s = record.get("at_s", 0.0)
+        spec = dict(record)
+        at_s = spec.pop("at_s", 0.0)
         if not isinstance(at_s, (int, float)) or isinstance(at_s, bool) \
                 or at_s < 0:
             raise TraceError(f"{where}: at_s must be a number >= 0, "
                              f"got {at_s!r}")
-        experiments = record.get("experiments", ["fig13"])
-        if (not isinstance(experiments, list) or not experiments
-                or not all(isinstance(n, str) for n in experiments)):
-            raise TraceError(f"{where}: experiments must be a non-empty "
-                             f"list of names, got {experiments!r}")
-        samples = record.get("samples", 1)
-        if samples is not None and (not isinstance(samples, int)
-                                    or isinstance(samples, bool)
-                                    or samples < 1):
-            raise TraceError(f"{where}: samples must be a positive "
-                             f"integer, got {samples!r}")
-        seed = record.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise TraceError(f"{where}: seed must be an integer, "
-                             f"got {seed!r}")
-        scenario = record.get("scenario")
-        if scenario is not None and not isinstance(scenario, str):
-            raise TraceError(f"{where}: scenario must be a string, "
-                             f"got {scenario!r}")
-        subscribers = record.get("subscribers", 1)
+        subscribers = spec.pop("subscribers", 1)
         if not isinstance(subscribers, int) or isinstance(subscribers, bool) \
                 or subscribers < 1:
             raise TraceError(f"{where}: subscribers must be a positive "
                              f"integer, got {subscribers!r}")
+        spec.setdefault("experiments", ["fig13"])
+        spec.setdefault("samples", 1)
+        try:
+            run = RunSpec.from_record(spec)
+        except ValueError as exc:
+            raise TraceError(f"{where}: {exc}") from None
         return cls(
             at_s=float(at_s),
-            experiments=tuple(experiments),
-            samples=samples,
-            seed=seed,
-            scenario=scenario,
+            experiments=run.experiments,
+            samples=run.samples,
+            seed=run.seed,
+            scenario=run.scenario,
             subscribers=subscribers,
+            on_error=run.on_error,
         )
 
 

@@ -21,6 +21,8 @@ from repro.model.vlm import BatchState, SyntheticVLM, TokenState
 INT8_LEVELS = 127
 """Symmetric signed INT8 grid."""
 
+_SMALLEST_SCALE = np.finfo(np.float32).smallest_subnormal
+
 
 def fake_quant_int8(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Round ``x`` through a symmetric per-slice INT8 grid.
@@ -33,7 +35,10 @@ def fake_quant_int8(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float32)
     scale = np.max(np.abs(x), axis=axis, keepdims=True) / INT8_LEVELS
-    scale = np.where(scale > 0, scale, 1.0)
+    # A slice whose scale underflows (all zeros, or subnormals below
+    # ~9e-44) takes the float32 grid itself, which holds it exactly;
+    # a scale of 1.0 would round such values to zero.
+    scale = np.where(scale > 0, scale, _SMALLEST_SCALE)
     return (np.round(x / scale) * scale).astype(np.float32)
 
 

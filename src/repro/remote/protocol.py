@@ -27,7 +27,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.engine.jobs import EvalJob
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 """Bumped whenever the pickled wire envelopes change shape."""
 
 DIGEST_HEADER = "x-repro-sha256"

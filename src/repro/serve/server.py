@@ -8,7 +8,9 @@ their live event streams out to any number of clients:
     Launch a run.  JSON body: ``{"experiments": ["table2", ...],
     "samples": N, "seed": S, "scenario": SPEC,
     "on_error": "raise"|"collect"}`` (everything but ``experiments``
-    optional).  ``on_error: "collect"`` selects partial-results mode:
+    optional), validated by :class:`~repro.engine.registry.RunSpec`
+    exactly as the CLI validates its flags; a bad or unknown key is a
+    ``400``.  ``on_error: "collect"`` selects partial-results mode:
     jobs that permanently fail (see :mod:`repro.engine.faults`) cost
     their experiment, not the run, which then terminates with a
     ``run-partial`` event and status ``partial``.  Responds ``201``
@@ -57,6 +59,7 @@ import asyncio
 import itertools
 import json
 import secrets
+import signal
 import sys
 import time
 from collections import deque
@@ -89,10 +92,6 @@ keys, about 144 bytes per job (the 103 evaluation jobs of ``all
 --samples 1`` encode to 14,813 bytes), so 64 MiB holds some 460k jobs
 while one request can no longer make the server buffer a gigabyte;
 everything else is small JSON."""
-RUN_SPEC_KEYS = frozenset(
-    {"experiments", "samples", "seed", "scenario", "on_error"}
-)
-"""Keys a ``POST /runs`` spec may carry; any other key is a ``400``."""
 DEFAULT_RING_SIZE = 65536
 DEFAULT_MAX_FINISHED_RUNS = 256
 """Terminal runs retained (with their event logs and reports) before
@@ -294,77 +293,26 @@ class ServeApp:
 
     async def start_run(self, spec: dict[str, Any]) -> Run:
         """Validate a POSTed spec, launch it, and start its pump."""
-        if not isinstance(spec, dict):
-            raise HttpError(400, "body must be a JSON object")
-        unknown_keys = sorted(set(spec) - RUN_SPEC_KEYS)
-        if unknown_keys:
-            # A misspelt or retired key would otherwise run with its
-            # default and still answer 201.
-            raise HttpError(
-                400,
-                f"unknown spec keys {unknown_keys}; "
-                f"known: {sorted(RUN_SPEC_KEYS)}",
-            )
-        names = spec.get("experiments")
-        if (
-            not isinstance(names, list) or not names
-            or not all(isinstance(n, str) for n in names)
-        ):
-            raise HttpError(
-                400, "'experiments' must be a non-empty list of names"
-            )
-        available = registry.experiment_names()
-        unknown = [n for n in names if n not in available]
-        if unknown:
-            raise HttpError(
-                400,
-                f"unknown experiments {unknown}; "
-                f"available: {sorted(available)}",
-            )
         try:
-            params: dict[str, Any] = {"seed": int(spec.get("seed", 0))}
-            if spec.get("samples") is not None:
-                params["num_samples"] = int(spec["samples"])
-        except (TypeError, ValueError) as exc:
-            raise HttpError(
-                400, f"'samples'/'seed' must be integers: {exc}"
-            ) from None
-        if spec.get("scenario") is not None:
-            if list(names) != ["scenario"]:
-                raise HttpError(
-                    400, "'scenario' only applies to the 'scenario' "
-                    "experiment"
-                )
-            from repro.workloads.scenarios import parse_scenario
-
-            try:
-                # Canonicalized: every spelling of one spec shares one
-                # content-addressed schedule.
-                params["scenario"] = parse_scenario(
-                    str(spec["scenario"])
-                ).name
-            except ValueError as exc:
-                raise HttpError(400, f"bad scenario spec: {exc}") from None
-        on_error = spec.get("on_error", "raise")
-        if on_error not in ("raise", "collect"):
-            raise HttpError(
-                400, "'on_error' must be \"raise\" or \"collect\", "
-                f"got {on_error!r}"
-            )
+            run_spec = registry.RunSpec.from_record(spec)
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
+        names = list(run_spec.experiments)
+        params = run_spec.params
 
         self._evict_finished_runs()
         run_id = secrets.token_hex(8)
         if self.store is not None:
-            self.store.create_run(run_id, list(names), params)
+            self.store.create_run(run_id, names, params)
         run = Run(
             run_id=run_id,
-            experiments=list(names),
+            experiments=names,
             params=params,
-            on_error=on_error,
+            on_error=run_spec.on_error,
             log=RunLog(self.ring_size, store=self.store, run_id=run_id),
             cache_before=self.engine.engine.cache.stats.snapshot(),
             handle=self.engine.launch(
-                list(names), on_error=on_error, **params
+                names, on_error=run_spec.on_error, **params
             ),
         )
         self.runs[run_id] = run
@@ -829,6 +777,12 @@ async def serve(
     )
     if ready is not None:
         ready.set()
+    # SIGTERM (how supervisors stop a server) shuts down like Ctrl-C:
+    # the finally closes the engine, whose pool workers would otherwise
+    # outlive the server.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
     try:
         async with server:
             await server.serve_forever()
@@ -842,54 +796,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve experiment runs over HTTP with SSE/JSON-lines "
                     "progress streaming.",
     )
-    from repro.cli import (  # no cycle: cli loads serve lazily
-        http_url,
-        nonnegative_float,
-        nonnegative_int,
-        peer_list,
-        positive_float,
-        positive_int,
-    )
+    # No cycle: cli loads serve lazily.
+    from repro.cli import add_engine_flags, positive_int
 
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help=f"TCP port (default: {DEFAULT_PORT})")
-    parser.add_argument("--workers", type=positive_int, default=1,
-                        help="engine worker processes shared by all runs "
-                             "(default: 1, in-process; pool workers run "
-                             "one BLAS thread each)")
-    parser.add_argument("--eval-shards", type=positive_int, default=None,
-                        help="samples per evaluation shard (streams "
-                             "running partial results; >= 1)")
-    parser.add_argument("--retries", type=nonnegative_int, default=0,
-                        help="extra attempts per failed job (shared by "
-                             "all runs; default: 0)")
-    parser.add_argument("--retry-backoff", type=nonnegative_float,
-                        default=0.05, metavar="SECONDS",
-                        help="base exponential backoff between attempts "
-                             "(default: 0.05)")
-    parser.add_argument("--job-timeout", type=positive_float,
-                        default=None, metavar="SECONDS",
-                        help="per-job wall-clock budget on the worker "
-                             "pool (needs --workers >= 2); hung jobs are "
-                             "reclaimed and retried")
-    parser.add_argument("--cache-dir", default=None,
-                        help="on-disk result cache shared by all runs")
-    parser.add_argument("--cache-max-mb", type=float, default=None,
-                        help="LRU cap for the disk cache tier")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
-    parser.add_argument("--remote-cache", type=http_url, default=None,
-                        metavar="URL",
-                        help="remote cache tier: a repro cache-server "
-                             "base URL (http://host:port) results are "
-                             "fetched from and published to")
-    parser.add_argument("--peers", type=peer_list, default=None,
-                        metavar="URLS",
-                        help="comma-separated repro-serve peer base "
-                             "URLs to dispatch job shares to "
-                             "(rendezvous-hashed by job id)")
+    add_engine_flags(parser)
     parser.add_argument("--ring-size", type=positive_int,
                         default=DEFAULT_RING_SIZE,
                         help="events retained per run in memory for "
@@ -910,22 +824,9 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.no_store and args.store_path is not None:
         parser.error("--no-store conflicts with --store-path")
-    if args.no_cache and args.remote_cache is not None:
-        parser.error("--no-cache conflicts with --remote-cache")
     from repro.cli import make_engine  # no cycle: cli loads serve lazily
 
-    engine = make_engine(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        eval_shards=args.eval_shards,
-        cache_max_mb=args.cache_max_mb,
-        retries=args.retries,
-        retry_backoff=args.retry_backoff,
-        job_timeout=args.job_timeout,
-        remote_cache=args.remote_cache,
-        peers=args.peers,
-    )
+    engine = make_engine(args)
     store = None
     if not args.no_store:
         store = RunStore(args.store_path or DEFAULT_STORE_PATH)
@@ -942,7 +843,7 @@ def main(argv: Iterable[str] | None = None) -> int:
     )
     try:
         asyncio.run(serve(app, args.host, args.port))
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro-serve: interrupted, shutting down",
               file=sys.stderr)
     finally:

@@ -1,6 +1,6 @@
 """Differential suite: stacks of many lanes vs one lane at a time.
 
-A stacked forward (``FocusConfig.forward_batch > 1``) must be
+A stacked forward (``forward_batch > 1`` lanes) must be
 *bit-identical* to running every sample as its own one-lane pass —
 same traces, same representatives, same unique/comparison counts, same
 accuracy and sparsity — for every batch size, method arm, and ragged
@@ -8,8 +8,10 @@ layout mix.  These tests lock that contract in at three levels: a
 hypothesis grid of random per-lane DAG tables against the matcher
 oracle, whole-gather parity over layout-diverged lanes, and full
 ``EvalResult`` equality over mixed-dataset eval spans.  Plugins that
-do not stack must be refused more than one lane.  The job-digest and
-progress-stream regressions that rode along are pinned here too.
+do not stack must be refused more than one lane.  The lane count is an
+execution knob: it stays out of job keys, so a warm cache serves any
+value.  The progress-stream regression that rode along is pinned here
+too.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from repro.core.adaptive import AdaptiveFocusPlugin
 from repro.core.gather import SimilarityGather
 from repro.core.matching import SimilarityMatcher
 from repro.core.pipeline import layout_digest
-from repro.engine import EvalJob, ExperimentEngine, config_digest
+from repro.cli import build_parser, main as cli_main
+from repro.engine import EvalJob, ExperimentEngine
 from repro.eval.runner import (
     METHOD_REGISTRY,
     ModelCache,
@@ -263,14 +266,14 @@ class TestEvalParity:
         )
         if samples is None:
             samples = _ragged_samples(model)
-        config = FocusConfig(forward_batch=batch)
         return evaluate_samples(
-            model, samples, method, config=config, model_name=MODEL,
+            model, samples, method, model_name=MODEL,
             dataset_name="ragged", quantized=quantized,
+            forward_batch=batch,
         )
 
     @pytest.mark.parametrize("method,quantized", ARMS)
-    @pytest.mark.parametrize("batch", [1, 2, 7, 8])
+    @pytest.mark.parametrize("batch", [2, 7, 8])
     def test_ragged_span_bit_identical(self, method, quantized, batch):
         serial = self._eval(method, quantized, 1)
         batched = self._eval(method, quantized, batch)
@@ -329,17 +332,28 @@ class TestStacking:
 
 
 class TestForwardBatchKnob:
-    def test_forward_batch_in_config_digest(self):
-        # Regression: a batched cell must never collide with a serial
-        # cell in the job cache — the knob is part of the digest.
-        digests = {
-            config_digest(FocusConfig(forward_batch=b)) for b in (1, 2, 8)
-        }
-        assert len(digests) == 3
+    @pytest.mark.slow
+    @pytest.mark.parametrize("knob", [
+        ["--forward-batch", "2"], ["--workers", "1"],
+        ["--eval-shards", "1"], ["--retries", "1"],
+    ], ids=lambda knob: knob[0])
+    def test_execution_knob_reruns_from_warm_cache(
+        self, knob, tmp_path, capsys
+    ):
+        # Execution knobs never change a result, so they must not
+        # change a job key either: a warm cache serves any value.
+        argv = ["table3", "--samples", "1", "--cache-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert " 4 executed" in capsys.readouterr().out
+        assert cli_main(argv + knob) == 0
+        assert " 0 executed" in capsys.readouterr().out
 
-    def test_forward_batch_validated(self):
+    def test_forward_batch_validated(self, capsys):
         with pytest.raises(ValueError, match="forward_batch"):
-            FocusConfig(forward_batch=0)
+            ExperimentEngine(forward_batch=0)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig13", "--forward-batch", "0"])
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_layout_digest_tracks_version(self, tiny_model, tiny_sample):
         from repro.model.plugins import InferencePlugin
@@ -359,14 +373,15 @@ class TestProgressUnderBatching:
     """eval-shard-done keeps per-sample running-accuracy semantics."""
 
     def test_shard_stream_matches_serial_semantics(self):
-        def run(config):
+        def run(forward_batch):
             events = []
             engine = ExperimentEngine(
-                eval_shards=2, progress=events.append
+                eval_shards=2, progress=events.append,
+                forward_batch=forward_batch,
             )
             job = EvalJob(
                 model=MODEL, dataset="vqav2", method="focus",
-                num_samples=6, seed=0, config=config,
+                num_samples=6, seed=0,
             )
             result = engine.run([job])[job]
             return result, [
@@ -374,10 +389,8 @@ class TestProgressUnderBatching:
                 if e.action == "eval-shard-done"
             ]
 
-        serial_result, serial_details = run(FocusConfig())
-        batched_result, batched_details = run(
-            FocusConfig(forward_batch=4)
-        )
+        serial_result, serial_details = run(1)
+        batched_result, batched_details = run(4)
         assert batched_result == serial_result
         # Spans complete in the same order serially here, so the
         # running accuracy/sparsity stream is identical event for
@@ -391,10 +404,7 @@ class TestProgressUnderBatching:
 
     def test_whole_cell_parity_via_public_entrypoint(self):
         serial = evaluate(MODEL, "vqav2", "focus", 6, 0)
-        batched = evaluate(
-            MODEL, "vqav2", "focus", 6, 0,
-            config=FocusConfig(forward_batch=3),
-        )
+        batched = evaluate(MODEL, "vqav2", "focus", 6, 0, forward_batch=3)
         assert batched == serial
 
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -96,8 +97,10 @@ class TestParser:
         assert defaults.job_timeout is None
         assert defaults.on_error == "raise"
 
-    @pytest.mark.parametrize("flag", ["--workers", "--eval-shards"])
-    @pytest.mark.parametrize("value", ["0", "-1", "2.5", "many"])
+    @pytest.mark.parametrize("flag", [
+        "--workers", "--eval-shards", "--samples", "--forward-batch",
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1", "-2", "2.5", "many"])
     def test_counts_must_be_positive_integers(self, flag, value, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig9", flag, value])
@@ -112,10 +115,19 @@ class TestParser:
         ["fig9", "--job-timeout", "0"],
         ["fig9", "--job-timeout", "-5"],
         ["fig9", "--on-error", "ignore"],
+        ["fig9", "--cache-max-mb", "-1"],
+        ["fig9", "--cache-max-mb", "nan"],
     ])
     def test_fault_options_validated(self, argv):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+    def test_cache_dir_must_not_be_a_file(self, tmp_path, capsys):
+        path = tmp_path / "file"
+        path.write_text("")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig9", "--cache-dir", str(path)])
+        assert "not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--workers", "--eval-shards"])
     def test_positive_counts_accepted(self, flag):
@@ -156,7 +168,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["fig9", "--no-cache",
                   "--remote-cache", "http://cache:8378"])
-        assert "conflicts" in capsys.readouterr().err
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_serve_declares_the_same_engine_flags(self):
+        from repro.serve.server import build_parser as serve_parser
+
+        def engine_flags(parser):
+            group, = (g for g in parser._action_groups
+                      if g.title == "engine")
+            return {
+                action.option_strings[0]: action.default
+                for action in group._group_actions
+            }
+
+        assert engine_flags(serve_parser()) == engine_flags(build_parser())
+        assert "--forward-batch" in engine_flags(build_parser())
 
     def test_serve_parser_shares_remote_options(self, capsys):
         from repro.serve.server import build_parser as serve_parser
@@ -179,8 +205,10 @@ class TestMain:
             assert name in out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["table99"]) == 2
-        assert "unknown" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["table99"])
+        assert exc.value.code == 2
+        assert "unknown experiments ['table99']" in capsys.readouterr().err
 
     def test_registry_covers_all_tables_and_figures(self):
         expected = {
@@ -372,3 +400,39 @@ class TestLoadCommand:
                      "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "[load open/virtual] 2 requests (0 failed)" in out
+
+
+class TestReadmeFlagTables:
+    """README's flag tables name exactly the flags the parsers accept."""
+
+    README = pathlib.Path(__file__).parents[1] / "README.md"
+
+    def _table_flags(self, header):
+        lines = self.README.read_text(encoding="utf-8").splitlines()
+        start = lines.index(header) + 2  # skip the |---| rule
+        flags = set()
+        for line in itertools.takewhile(
+            lambda line: line.startswith("|"), lines[start:]
+        ):
+            first_cell = line.split("|")[1]
+            for name in first_cell.split(" / "):
+                flags.add(name.strip().strip("`").split()[0])
+        return flags
+
+    @staticmethod
+    def _parser_flags(parser):
+        return {
+            option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+
+    def test_cli_table(self):
+        assert self._table_flags("| flag | effect |") == \
+            self._parser_flags(build_parser())
+
+    def test_serve_table(self):
+        from repro.serve.server import build_parser as serve_parser
+
+        assert self._table_flags("| serve flag | effect |") == \
+            self._parser_flags(serve_parser())

@@ -13,8 +13,6 @@ class TestValidation:
         assert DEFAULT_CONFIG.vector_size == 32
         assert DEFAULT_CONFIG.similarity_threshold == 0.9
         assert DEFAULT_CONFIG.m_tile == 1024
-        assert DEFAULT_CONFIG.n_tile == 32
-        assert DEFAULT_CONFIG.scatter_accumulators == 64
 
     def test_block_size(self):
         assert DEFAULT_CONFIG.block_size == 8
@@ -34,8 +32,6 @@ class TestValidation:
     def test_rejects_bad_tiles(self):
         with pytest.raises(ValueError):
             FocusConfig(m_tile=0)
-        with pytest.raises(ValueError):
-            FocusConfig(n_tile=-1)
 
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,8 @@ class TestFakeQuant:
     # half an ulp of |out| — twice an ulp of |x|.
     @example(np.array([[6.4783616] + [5.177588] * 15], dtype=np.float32))
     @example(np.array([[9.602549, 7.9769197]], dtype=np.float32))
+    # A slice whose scale underflows float32 must not round to zero.
+    @example(np.full((3, 16), 5.5e-44, dtype=np.float32))
     @settings(max_examples=40, deadline=None)
     def test_bounded_error(self, x):
         out = fake_quant_int8(x, axis=-1)

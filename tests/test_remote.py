@@ -12,6 +12,8 @@ serves a second "host" with zero executions.
 """
 
 import http.client
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.engine import MISS, EvalJob, ExperimentEngine, ResultCache
 from repro.engine.faults import PeerUnreachable
 from repro.remote import protocol
@@ -413,11 +416,11 @@ def _stop_peer(proc):
                 pipe.close()
 
 
-def _start_peer(env):
+def _start_peer(env, *flags):
     """Spawn a ``repro serve`` peer; return (process, base_url)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
-         "--port", "0", "--no-store"],
+         "--port", "0", "--no-store", *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True,
     )
@@ -435,6 +438,38 @@ def _start_peer(env):
         raise
     _stop_peer(proc)
     raise RuntimeError("peer never announced its address")
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    children = []
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(),
+                    reason="needs /proc")
+def test_terminated_peer_reaps_its_pool_workers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    proc, _ = _start_peer(env, "--workers", "2")
+    try:
+        # The pool is forked before the server announces its address.
+        workers = _children(proc.pid)
+        assert workers
+    finally:
+        _stop_peer(proc)
+    assert proc.returncode == 0
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.slow

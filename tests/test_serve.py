@@ -41,7 +41,7 @@ TINY_NAME = "_serve_tiny"
 
 
 @register_job_kind(TEST_KIND)
-def _execute_serve_test(job: EvalJob) -> dict:
+def _execute_serve_test(job: EvalJob, forward_batch: int) -> dict:
     delay = float(job.extra_map.get("sleep", 0.0))
     if delay:
         time.sleep(delay)
@@ -744,12 +744,15 @@ class TestHttpFrontend:
         async def scenario():
             app = ServeApp(AsyncExperimentEngine(ExperimentEngine()))
             async with serving(app) as (server, port):
-                status, body = await _json_request(
-                    port, "POST", "/runs",
-                    {"experiments": [tiny_experiment],
-                     "samples": "two"},
-                )
-                assert status == 400 and "samples" in body["error"]
+                for samples in ("two", 0, -3, True, "2", 2.7):
+                    status, body = await _json_request(
+                        port, "POST", "/runs",
+                        {"experiments": [tiny_experiment],
+                         "samples": samples},
+                    )
+                    assert status == 400, samples
+                    assert "samples" in body["error"]
+                assert not app.runs
 
         asyncio.run(scenario())
 

@@ -45,7 +45,7 @@ TINY_NAME = "_store_tiny"
 
 
 @register_job_kind(TEST_KIND)
-def _execute_store_test(job: EvalJob) -> dict:
+def _execute_store_test(job: EvalJob, forward_batch: int) -> dict:
     return {"method": job.method, "samples": job.num_samples}
 
 
