@@ -1,13 +1,12 @@
-"""Sharded per-sample evaluation over a video grid.
+"""Per-sample evaluation over a video grid.
 
-The acceptance gate for the eval-sharding PR: for a grid of (model,
-method) cells — dense baseline, focus, and an INT8 focus arm — every
-cell evaluated as per-sample-span ``eval-shard`` jobs on a 4-worker
-engine must be *bit-identical* to the serial whole-cell evaluation,
-and growing ``--samples`` must execute only the new suffix spans with
-the prefix served from the span cache.  The run doubles as the
+For a grid of (model, method) cells — dense baseline, focus, and an
+INT8 focus arm — every cell the engine folds from per-sample ``eval``
+jobs on 4 workers must be *bit-identical* to the whole cell evaluated
+in one call, and growing ``--samples`` must execute only the new
+samples with the prefix served from the sample cache.  The run doubles as the
 telemetry emitter: ``benchmarks/results/BENCH_eval.json`` records
-wall-clock for the serial, sharded-cold, and grown (prefix-reuse)
+wall-clock for the whole-cell, per-sample cold, and grown (prefix-reuse)
 sweeps, the shard count, the cache hit rate, and the prefix-reuse hit
 rate, giving future PRs a perf trajectory for the evaluation phase
 like BENCH_sim.json provides for simulation.
@@ -26,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from repro.engine import EvalJob, ExperimentEngine
-from repro.eval.eval_shards import EVAL_SHARD_KIND
+from repro.engine.jobs import execute_job
 from repro.eval.runner import ModelCache, bucket_samples, evaluate_samples
 from repro.model.zoo import VIDEO_MODELS
 from repro.workloads.datasets import make_dataset_span
@@ -152,14 +151,12 @@ def test_eval_sharding_parity_and_telemetry(benchmark, results_dir):
     samples = max(2, bench_samples() // 2)
     jobs = _grid_jobs(samples)
 
-    serial_engine = ExperimentEngine(workers=1)
+    # The oracle: every cell evaluated whole, in-process.
     serial_start = time.perf_counter()
-    serial = serial_engine.run(list(jobs.values()))
+    serial = {job: execute_job(job) for job in jobs.values()}
     serial_wall = time.perf_counter() - serial_start
 
-    sharded_engine = ExperimentEngine(
-        workers=SHARD_WORKERS, eval_shards=1
-    )
+    sharded_engine = ExperimentEngine(workers=SHARD_WORKERS)
 
     def sharded_sweep():
         return sharded_engine.run(list(jobs.values()))
@@ -168,33 +165,25 @@ def test_eval_sharding_parity_and_telemetry(benchmark, results_dir):
     sharded = benchmark.pedantic(sharded_sweep, rounds=1, iterations=1)
     cold_wall = time.perf_counter() - cold_start
 
-    # The tentpole guarantee: sharded == serial, bit for bit, on every
+    # The engine's guarantee: folded == whole, bit for bit, on every
     # cell of the grid (focus, dense baseline, and the INT8 arm).
     for key, job in jobs.items():
         assert sharded[job] == serial[job], key
-    shards_executed = sharded_engine.stats.executed_by_kind.get(
-        EVAL_SHARD_KIND, 0
-    )
+    shards_executed = sharded_engine.stats.executed_by_kind.get("eval", 0)
     assert shards_executed == len(jobs) * samples
 
     # Prefix reuse: doubling every cell's sample count on the same
-    # cache executes only the new suffix spans.
+    # cache executes only the new samples.
     grown_jobs = _grid_jobs(samples * 2)
     cache = sharded_engine.cache
-    hits_before = cache.stats.hits_by_kind.get(EVAL_SHARD_KIND, 0)
-    grown_engine = ExperimentEngine(
-        workers=SHARD_WORKERS, eval_shards=1, cache=cache
-    )
+    hits_before = cache.stats.hits_by_kind.get("eval", 0)
+    grown_engine = ExperimentEngine(workers=SHARD_WORKERS, cache=cache)
     grown_start = time.perf_counter()
     grown = grown_engine.run(list(grown_jobs.values()))
     grown_wall = time.perf_counter() - grown_start
 
-    suffix_executed = grown_engine.stats.executed_by_kind.get(
-        EVAL_SHARD_KIND, 0
-    )
-    prefix_hits = (
-        cache.stats.hits_by_kind.get(EVAL_SHARD_KIND, 0) - hits_before
-    )
+    suffix_executed = grown_engine.stats.executed_by_kind.get("eval", 0)
+    prefix_hits = cache.stats.hits_by_kind.get("eval", 0) - hits_before
     assert suffix_executed == len(jobs) * samples
     assert prefix_hits == len(jobs) * samples
     for key, job in jobs.items():
@@ -229,14 +218,13 @@ def test_eval_sharding_parity_and_telemetry(benchmark, results_dir):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
-    serial_engine.close()
     sharded_engine.close()
     grown_engine.close()
 
 
 def test_batched_forward_throughput(benchmark, results_dir):
     """The batched-forward acceptance arm: one wavefront pass per
-    eval-shard stack must be bit-identical to the serial loop and at
+    stack of samples must be bit-identical to the serial loop and at
     least the measurement class's gate (:data:`BATCHED_SPEEDUP_GATE`,
     or :data:`THREADED_SPEEDUP_GATE` on hosts whose GEMM floor
     measurably lifts under stacking) x its cell throughput on the

@@ -16,7 +16,7 @@ Four measurements, written to ``BENCH_load.json``:
   every subscriber must reach the terminal event.
 * ``scenarios`` — per family, a grown-samples warm-cache rerun
   (2 → 4 samples over a shared cache) demonstrating suffix-only
-  re-execution: exactly the new suffix shards run, zero prefix jobs.
+  re-execution: exactly the new suffix samples run, zero prefix jobs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 from repro.engine import ExperimentEngine, ResultCache
 from repro.engine import registry
 from repro.eval import reporting  # noqa: F401  (attaches formatters)
-from repro.eval.eval_shards import EVAL_SHARD_KIND
 from repro.load import (
     LoadRequest,
     ServeTransport,
@@ -128,23 +127,23 @@ def _scenario_arm() -> dict:
     out = {}
     for family in FAMILIES:
         cache = ResultCache()
-        cold = ExperimentEngine(eval_shards=1, cache=cache)
+        cold = ExperimentEngine(cache=cache)
         try:
             registry.run_experiments(
                 ["scenario"], cold, scenario=family, num_samples=2,
                 methods=("dense",),
             )
-            cold_shards = cold.stats.executed_by_kind[EVAL_SHARD_KIND]
+            cold_shards = cold.stats.executed_by_kind["eval"]
         finally:
             cold.close()
-        warm = ExperimentEngine(eval_shards=1, cache=cache)
+        warm = ExperimentEngine(cache=cache)
         try:
             registry.run_experiments(
                 ["scenario"], warm, scenario=family, num_samples=4,
                 methods=("dense",),
             )
-            warm_shards = warm.stats.executed_by_kind[EVAL_SHARD_KIND]
-            prefix_hits = cache.stats.hits_by_kind[EVAL_SHARD_KIND]
+            warm_shards = warm.stats.executed_by_kind["eval"]
+            prefix_hits = cache.stats.hits_by_kind["eval"]
         finally:
             warm.close()
         out[family] = {

@@ -1,9 +1,9 @@
 """Streaming progress: consume a live experiment event stream.
 
 Launches Fig. 11 (accuracy/sparsity across similarity thresholds)
-through :class:`repro.serve.AsyncExperimentEngine` with per-sample
-eval sharding, consumes the async event stream, and renders a live
-per-cell ticker of running accuracy and sparsity as shards land —
+through :class:`repro.serve.AsyncExperimentEngine`, consumes the async
+event stream, and renders a live per-cell ticker of running accuracy
+and sparsity as samples land —
 exactly the events the ``repro serve`` HTTP frontend fans out to SSE
 clients, here consumed in-process.
 
@@ -23,9 +23,9 @@ from repro.serve import AsyncExperimentEngine
 
 
 async def main() -> None:
-    # eval_shards=1 schedules every sample as its own job, so each
-    # completed sample streams an `eval-shard-done` partial result.
-    engine = AsyncExperimentEngine(ExperimentEngine(eval_shards=1))
+    # Every cell of more than one sample runs as per-sample jobs, so
+    # each landed sample streams an `eval-shard-done` partial result.
+    engine = AsyncExperimentEngine(ExperimentEngine())
     run = engine.launch(["fig11"], num_samples=2)
 
     ticker: dict[str, str] = {}
@@ -37,7 +37,7 @@ async def main() -> None:
         d = event.detail
         ticker[d["parent"]] = (
             f"acc {d['accuracy']:5.1f}%  sparsity {d['sparsity']:5.1f}%"
-            f"  ({d['shards_done']}/{d['shards_total']} shards)"
+            f"  ({d['shards_done']}/{d['shards_total']} samples)"
         )
         print(f"\x1b[2J\x1b[H[{done}/{total} jobs]  live cell ticker")
         for cell, line in sorted(ticker.items()):

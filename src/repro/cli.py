@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli fig9 --samples 4 --workers 4
     python -m repro.cli table2 fig9 --samples 4      # shared cells run once
     python -m repro.cli all --cache-dir ~/.cache/repro-focus
-    python -m repro.cli serve --port 8377 --workers 4 --eval-shards 1
+    python -m repro.cli serve --port 8377 --workers 4
 
 Experiments come from the declarative registry
 (:mod:`repro.engine.registry`); requesting several at once collects
@@ -20,6 +20,8 @@ Flags:
 
 ``--samples N``
     Samples per evaluation cell (default: each driver's own default).
+    Each sample is cached on its own, so growing ``--samples`` on a
+    warm cache executes only the new samples.
 ``--seed S``
     Experiment seed; all sample streams derive from it.
 ``--scenario SPEC``
@@ -36,20 +38,13 @@ Flags:
     capped).  Pool workers run one BLAS thread each; ``--workers 1``
     executes in-process under the environment's BLAS threading.
     Results are bit-identical for any ``N``; only wall-clock changes.
-``--eval-shards N``
-    Evaluate each (model, dataset, method) cell in spans of ``N``
-    samples, scheduled as individual ``eval-shard`` jobs (default:
-    whole cells).  Sharded evaluation is bit-identical to serial for
-    any span size; spans cache individually, so re-running with a
-    larger ``--samples`` executes only each cell's new suffix spans.
-    With ``--progress``, finished spans stream their cell's running
-    accuracy/sparsity.
 ``--forward-batch N``
     Lanes per forward pass for every executed job (default: 1, one
     sample per pass).  Same-shape samples stack into one tensorized
-    pass; results are bit-identical for any batch size, only
-    wall-clock differs, so the lane count is not part of any job key
-    and a warm cache serves every value.  Methods whose plugin does
+    pass, and a cell's missing samples execute in chunks of ``N``;
+    results are bit-identical for any batch size, only wall-clock
+    differs, so the lane count is not part of any job key and a warm
+    cache serves every value.  Methods whose plugin does
     not stack (``dense``, ``focus-topp`` and the baselines) run one
     lane at a time.
 ``--retries N``
@@ -298,11 +293,6 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "results are identical for any count)",
     )
     group.add_argument(
-        "--eval-shards", type=positive_int, default=None,
-        help="samples per evaluation shard (default: whole cells; "
-             "results are identical for any span size)",
-    )
-    group.add_argument(
         "--forward-batch", type=positive_int, default=1,
         help="lanes per forward pass (default: 1; same-shape samples "
              "stack into one tensorized pass — results are "
@@ -402,7 +392,7 @@ def _print_progress(event: ProgressEvent) -> None:
         d = event.detail
         print(
             f"[engine {event.completed}/{event.total} "
-            f"{event.elapsed_s:6.1f}s] shard "
+            f"{event.elapsed_s:6.1f}s] sample "
             f"{d['shards_done']}/{d['shards_total']} of {d['parent']} | "
             f"running acc {d['accuracy']:.1f}% "
             f"sparsity {d['sparsity']:.1f}% "
@@ -477,7 +467,6 @@ def make_engine(
         workers=args.workers,
         cache=cache,
         progress=callback,
-        eval_shards=args.eval_shards,
         retry_policy=retry_policy,
         job_timeout_s=args.job_timeout,
         peers=args.peers,
@@ -633,8 +622,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
     stats = engine.stats
     cache = engine.cache.stats
-    eval_shards = stats.executed_by_kind.get("eval-shard", 0)
-    shard_note = f" ({eval_shards} eval shards)" if eval_shards else ""
     fault_notes = []
     for field, label in (
         ("retries", "retries"), ("timeouts", "timeouts"),
@@ -656,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
         f"jobs: {stats.jobs_submitted} submitted, "
         f"{stats.jobs_deduped} deduped, {stats.cache_hits} cached "
         f"({', '.join(tier_bits)}), {stats.executed} executed"
-        f"{shard_note}{peer_note}{fault_note} | workers={engine.workers}]"
+        f"{peer_note}{fault_note} | workers={engine.workers}]"
     )
     if failures:
         print(

@@ -34,10 +34,10 @@ mid-hit — between the read and the ``last_used`` touch; the lookup
 then counts as a miss rather than resurrecting an evicted entry.
 
 :class:`CacheStats` counts every lookup per job *kind* as well as in
-total (``hits_by_kind`` / ``misses_by_kind``), so sharded traffic is
-separable — e.g. a grown ``--samples`` re-run reports its prefix-reuse
-rate as the ``eval-shard`` hit fraction, which the totals alone can't
-distinguish from whole-cell lookups.
+total (``hits_by_kind`` / ``misses_by_kind``), so traffic of one kind
+is separable — e.g. a grown ``--samples`` re-run reports its
+prefix-reuse hits as ``eval`` hits, apart from other kinds such as
+``fig2b``.
 
 All public operations take an internal lock, so one cache may back
 several engine threads at once (the async serving layer runs
@@ -68,10 +68,9 @@ class CacheStats(Counters):
     """Hit/miss counters, cumulative over the cache's lifetime.
 
     Besides the totals, lookups are counted per job *kind*
-    (``hits_by_kind`` / ``misses_by_kind``): a sharded-eval re-run with
-    a larger ``--samples`` reports its prefix-reuse rate as the
-    ``eval-shard`` hit fraction, which the totals alone can't separate
-    from whole-cell traffic.
+    (``hits_by_kind`` / ``misses_by_kind``): a re-run with a larger
+    ``--samples`` reports its prefix-reuse hits as ``eval`` hits,
+    apart from other kinds such as ``fig2b``.
     """
 
     hits: int = 0

@@ -32,7 +32,8 @@ A plan is a ``;``-separated list of rules, each
     An :mod:`fnmatch` glob matched against the job's *fault label*
     (:func:`fault_label`):
     ``kind:method:model:dataset:nNUM:sSEED[:extra=value...]`` — e.g.
-    ``eval-shard:focus:llava-video:videomme:n2:s0:span=(0, 2)``.
+    ``eval:focus:llava-video:videomme:n1:s0:start=1`` (sample 1 of a
+    cell; sample 0 and whole cells carry no ``start``).
 ``ATTEMPTS``
     ``N`` fires the rule on attempts 1..N of matching jobs (so ``1``
     is "flaky once", ``2`` "flaky twice"); ``*`` fires on every
@@ -45,7 +46,7 @@ A plan is a ``;``-separated list of rules, each
 
 Example — the CI smoke plan::
 
-    eval-shard:focus:*@2:raise; eval-shard:dense:*@1:sleep=30; eval-shard:cmc:*@1:kill
+    eval:focus:*@2:raise; eval:dense:llava-video:videomme:*@1:sleep=30; eval:cmc:*@1:kill
 
 Plans activate either programmatically (:func:`install_fault_plan`)
 or through the ``REPRO_FAULT_PLAN`` environment variable, which pool
@@ -119,8 +120,8 @@ class JobFailure:
         kind: ``"error"`` (exceptions exhausted the attempt budget),
             ``"timeout"`` (wall-clock budget exhausted),
             ``"poisoned"`` (quarantined after repeatedly killing its
-            worker), or ``"shards-failed"`` (a sharded cell whose
-            spans failed — the parent cannot be merged).
+            worker), or ``"shards-failed"`` (a cell whose per-sample
+            jobs failed — the cell cannot be folded).
         attempts: Attempts consumed before giving up.
         tracebacks: One formatted traceback (or crash/timeout note)
             per failed attempt, oldest first.
@@ -190,7 +191,7 @@ class ExperimentFailure:
 def shard_failure(
     parent: EvalJob, span_failures: list[JobFailure]
 ) -> JobFailure:
-    """The parent-cell failure for a sharded cell with failed spans."""
+    """The cell failure for a cell whose per-sample jobs failed."""
     return JobFailure(
         job=parent,
         kind="shards-failed",

@@ -7,11 +7,13 @@ matter which process executes it or in what order.  That property is
 what makes deduplication, content-addressed caching, and parallel
 execution safe.
 
-Job kinds are extensible: ``eval`` (the standard
-:func:`repro.eval.runner.evaluate` cell) is built in, and other modules
-register additional kinds with :func:`register_job_kind` — the
-Fig. 2(b) similarity capture in :mod:`repro.eval.similarity_stats`
-and per-sample-span evaluation shards in :mod:`repro.eval.eval_shards`.
+Job kinds are extensible: ``eval`` (the sample span
+``[start, start + num_samples)`` of a (model, dataset, method) cell,
+evaluated by :func:`repro.eval.runner.evaluate_span`; ``start`` rides
+in ``extra`` and is left out at 0, so a plan's cell is the span at 0 —
+see :mod:`repro.eval.eval_shards`) is built in, and other modules
+register additional kinds with :func:`register_job_kind`, such as the
+Fig. 2(b) similarity capture in :mod:`repro.eval.similarity_stats`.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class EvalJob:
         config: Focus hyper-parameters; keyed by content digest.
         quantized: Run on the INT8-quantized model with activation
             rounding (Table IV's int8 arms).
-        kind: Executor kind; ``eval`` is the standard cell.
+        kind: Executor kind; ``eval`` is the standard cell or sample
+            span.
         extra: Kind-specific parameters as a tuple of ``(name, value)``
             pairs (must be hashable and ``repr``-stable).
         provider: Dotted module path that registers this job's kind
@@ -147,9 +150,11 @@ class EvalJob:
         """Short human-readable label for progress lines."""
         quant = " int8" if self.quantized else ""
         kind = f"[{self.kind}] " if self.kind != "eval" else ""
+        start = dict(self.extra).get("start") if self.kind == "eval" else 0
+        at = f", start={start}" if start else ""
         return (
             f"{kind}{self.method}{quant} on {self.model}/{self.dataset} "
-            f"(n={self.num_samples}, seed={self.seed})"
+            f"(n={self.num_samples}, seed={self.seed}{at})"
         )
 
 
@@ -174,13 +179,14 @@ def register_job_kind(kind: str) -> Callable[[JobExecutor], JobExecutor]:
 
 @register_job_kind("eval")
 def _execute_eval(job: EvalJob, forward_batch: int) -> Any:
-    from repro.eval.runner import evaluate
+    from repro.eval.eval_shards import job_span
+    from repro.eval.runner import evaluate_span
 
-    return evaluate(
+    return evaluate_span(
         job.model,
         job.dataset,
         job.method,
-        job.num_samples,
+        job_span(job),
         job.sample_seed,
         config=job.config,
         quantized=job.quantized,
@@ -188,10 +194,7 @@ def _execute_eval(job: EvalJob, forward_batch: int) -> Any:
     )
 
 
-DEFAULT_KIND_PROVIDERS = (
-    "repro.eval.similarity_stats",
-    "repro.eval.eval_shards",
-)
+DEFAULT_KIND_PROVIDERS = ("repro.eval.similarity_stats",)
 """Modules imported when an unregistered kind is encountered and the
 job names no provider of its own."""
 

@@ -6,11 +6,11 @@ jobs it needs plus a pure ``assemble(results)`` step — through the
 *several* experiments, dedupe across them, execute one schedule, and
 hand each experiment its slice of the results.
 
-Plans always declare *whole-cell* ``eval`` jobs; per-sample sharding
-is an engine concern.  Running any plan on an engine built with
-``eval_shards=N`` splits each declared cell into per-sample-span
-``eval-shard`` jobs and hands ``assemble`` the merged, bit-identical
-cell — every registered driver shards without knowing it.
+Plans always declare *whole-cell* ``eval`` jobs; per-sample execution
+is an engine concern.  The engine folds each declared cell that misses
+the cache from per-sample jobs (:mod:`repro.eval.eval_shards`) and
+hands ``assemble`` the merged, bit-identical cell — every registered
+driver reuses cached samples without knowing it.
 
 Formatters (paper-style text renderers) are attached separately by
 :mod:`repro.eval.reporting` via :func:`set_formatter`, keeping the

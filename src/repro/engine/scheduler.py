@@ -6,12 +6,11 @@ collapses duplicates by key, serves what it can from the result cache,
 and runs the remainder either in-process (``workers=1``) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Progress events
 (``cache-hit`` / ``started`` / ``completed``, over every job kind the
-batch schedules: whole-cell ``eval``, per-span ``eval-shard``,
-``fig2b``, …) stream to an optional callback as jobs finish.
-With ``eval_shards`` set, whole-cell ``eval`` jobs are further split
-into per-sample-span shards (:mod:`repro.eval.eval_shards`) that
-execute, dedupe, and cache individually and stream ``eval-shard-done``
-partial results as they land.
+batch schedules: ``eval``, ``fig2b``, …) stream to an optional
+callback as jobs finish.  An ``eval`` cell of several samples is a
+fold of per-sample jobs (:mod:`repro.eval.eval_shards`): its samples
+execute, dedupe, and cache individually and stream
+``eval-shard-done`` partial results as they land.
 
 Execution is fault tolerant (see :mod:`repro.engine.faults`): a
 :class:`~repro.engine.faults.RetryPolicy` re-dispatches failed
@@ -63,7 +62,6 @@ from repro.engine.faults import (
     PoisonedJob,
     RetryPolicy,
     run_job_attempt,
-    shard_failure,
 )
 from repro.engine.jobs import EvalJob
 
@@ -76,9 +74,9 @@ class ProgressEvent:
 
     Attributes:
         action: ``"cache-hit"``, ``"started"``, ``"completed"``,
-            ``"eval-shard-done"`` (a sharded cell's span finished —
-            streamed *in addition to* the span job's own
-            cache-hit/completed event), ``"retrying"`` (a failed,
+            ``"eval-shard-done"`` (a sample of a split cell landed —
+            streamed *in addition to* the cache-hit/completed event of
+            the job that carried it), ``"retrying"`` (a failed,
             timed-out, or crash-interrupted attempt is being
             re-dispatched), ``"gave-up"`` (the job's attempt budget is
             exhausted), or ``"quarantined"`` (the job repeatedly
@@ -86,14 +84,14 @@ class ProgressEvent:
         job: The job the event refers to.
         completed: Jobs finished so far (including cache hits and
             permanent failures).
-        total: Schedulable units in this batch (sharded cells count
-            their spans, not the merged parent).
+        total: Schedulable units in this batch (a split cell counts
+            its cached samples and executed chunks, not itself).
         elapsed_s: Seconds since the batch started.
         detail: Action-specific payload; for ``eval-shard-done`` the
-            running partial result of the shard's parent cell
+            running partial result of the sample's parent cell
             (``parent``, ``shards_done``, ``shards_total``,
             ``samples``, ``accuracy``, ``sparsity`` — see
-            :meth:`repro.eval.eval_shards.ShardProgress.as_detail`);
+            :meth:`repro.eval.eval_shards.ShardProgress.update`);
             for ``retrying`` the attempt counters, backoff, and
             reason; for ``gave-up``/``quarantined`` the
             :meth:`~repro.engine.faults.JobFailure.as_detail` payload.
@@ -188,17 +186,6 @@ class ExperimentEngine:
         progress: Optional streaming callback invoked from the
             scheduling process as jobs hit the cache, start, and
             complete.
-        eval_shards: Samples per evaluation shard (the CLI's
-            ``--eval-shards``).  When set, whole-cell ``eval`` jobs
-            that miss the cache are split into per-sample-span
-            ``eval-shard`` jobs (:mod:`repro.eval.eval_shards`) that
-            parallelize on the worker pool and stream
-            ``eval-shard-done`` partial results; the spans are
-            re-folded in global sample order, bit-identical to the
-            serial cell for any worker count and span size.  Span keys
-            exclude the cell's total sample count, so growing a cell
-            re-executes only its new suffix spans.  ``None`` (default)
-            schedules whole cells.
         retry_policy: How failed attempts are retried (the CLI's
             ``--retries`` / ``--retry-backoff``).  Defaults to
             :data:`~repro.engine.faults.DEFAULT_RETRY_POLICY` — no
@@ -213,7 +200,8 @@ class ExperimentEngine:
             ``None`` (default) disables the budget.
         forward_batch: Lanes per forward pass (the CLI's
             ``--forward-batch``; default 1).  Handed to every job's
-            execution, never part of its key: results are
+            execution and the most samples one executed chunk of a
+            split cell carries, never part of a key: results are
             bit-identical for any value, so a warm cache serves them
             whatever it is.  A fleet peer runs its share with its own
             engine's value.
@@ -239,7 +227,6 @@ class ExperimentEngine:
         workers: int = 1,
         cache: ResultCache | None = None,
         progress: ProgressCallback | None = None,
-        eval_shards: int | None = None,
         retry_policy: RetryPolicy | None = None,
         job_timeout_s: float | None = None,
         peers: Iterable[str] | None = None,
@@ -248,11 +235,6 @@ class ExperimentEngine:
         self.workers = max(1, int(workers))
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
-        if eval_shards is not None and eval_shards < 1:
-            raise ValueError(
-                f"eval_shards must be >= 1, got {eval_shards}"
-            )
-        self.eval_shards = eval_shards
         self.retry_policy = (
             retry_policy if retry_policy is not None
             else DEFAULT_RETRY_POLICY
@@ -1115,22 +1097,23 @@ class ExperimentEngine:
         costs one result, not the batch.  Worker-crash recovery and
         timeouts apply in both modes.
 
-        With ``eval_shards`` set, whole-cell ``eval`` jobs that miss
-        the cache are split into per-sample-span ``eval-shard`` jobs,
-        which dedupe and cache individually (two cells covering the
-        same span share it, even at different total sample counts).
-        Each finished span streams an ``eval-shard-done`` event with
-        its cell's running partial result; the merged cell — re-folded
-        in global sample order, bit-identical to serial evaluation —
-        is stored back under the whole-cell key and returned alongside
-        the span results.  In collect mode a cell with failed spans
-        maps to a ``shards-failed`` :class:`JobFailure` naming them.
+        An ``eval`` cell of several samples that misses the cache is
+        a fold of per-sample jobs
+        (:class:`repro.eval.eval_shards.CellFolds`): only its missing
+        samples execute, every sample is cached on its own, each
+        landed sample streams an ``eval-shard-done`` event, and the
+        folded cell is cached under its own key.  In collect mode a
+        cell with failed samples maps to a ``shards-failed``
+        :class:`JobFailure`.
         """
         if on_error not in ("raise", "collect"):
             raise ValueError(
                 f'on_error must be "raise" or "collect", '
                 f"got {on_error!r}"
             )
+        # Lazy: the eval layer imports the engine layer.
+        from repro.eval.eval_shards import CellFolds, cell_samples
+
         start = time.perf_counter()
         submitted = list(jobs)
         unique: dict[EvalJob, None] = {}
@@ -1143,139 +1126,104 @@ class ExperimentEngine:
             self.stats.jobs_unique += len(ordered)
             self.stats.jobs_deduped += len(submitted) - len(ordered)
 
-        shard_lib = None
-        if self.eval_shards is not None:
-            # Lazy: the engine layer must stay importable without the
-            # eval layer; only a sharding run needs it.
-            from repro.eval import eval_shards as shard_lib
-
         if getattr(self.cache, "remote", None) is not None:
-            # One batched manifest round-trip resolves the whole
-            # schedule's remote existence up front (spans included),
-            # so per-job lookups either fetch or skip the network.
-            candidates = list(ordered)
-            if shard_lib is not None:
-                candidates.extend(
-                    shard
-                    for job in ordered if job.kind == "eval"
-                    for shard in shard_lib.plan_eval_shards(
-                        job, self.eval_shards
-                    )
-                )
-            self.cache.prefetch(candidates)
+            # One batched manifest round-trip resolves the remote
+            # existence of every cell and sample up front, so per-job
+            # lookups either fetch or skip the network.
+            self.cache.prefetch(
+                unit for job in ordered
+                for unit in (job, *cell_samples(job))
+            )
 
         results: dict[EvalJob, Any] = {}
         failures: dict[EvalJob, JobFailure] = {}
-        hits: list[EvalJob] = []
-        hit_tiers: dict[EvalJob, str | None] = {}
+        hits: list[tuple[EvalJob, str | None]] = []
         pending: list[EvalJob] = []
-        plans: dict[EvalJob, tuple[EvalJob, ...]] = {}
-        trackers: dict[EvalJob, Any] = {}
-        shard_parents: dict[EvalJob, list[EvalJob]] = {}
-
+        folds = CellFolds(self.forward_batch)
         classified: set[EvalJob] = set()
-        for job in ordered:
-            if job in classified:
-                continue  # already scheduled as some cell's span
+
+        def hit(job: EvalJob) -> bool:
             classified.add(job)
             payload, tier = self.cache.lookup(job)
-            if payload is not MISS:
-                with self._lock:
-                    self.stats.cache_hits += 1
-                results[job] = payload
-                hits.append(job)
-                hit_tiers[job] = tier
-                continue
-            if shard_lib is not None and job.kind == "eval":
-                shards = shard_lib.plan_eval_shards(job, self.eval_shards)
-                plans[job] = shards
-                trackers[job] = shard_lib.ShardProgress(
-                    shards_total=len(shards)
-                )
-                for shard in shards:
-                    shard_parents.setdefault(shard, []).append(job)
-                    if shard in classified:
-                        # Span shared with an earlier cell, or the
-                        # same job was submitted directly: scheduled
-                        # once, merged into every parent.
-                        continue
-                    classified.add(shard)
-                    span_payload, span_tier = self.cache.lookup(shard)
-                    if span_payload is not MISS:
-                        with self._lock:
-                            self.stats.cache_hits += 1
-                        results[shard] = span_payload
-                        hits.append(shard)
-                        hit_tiers[shard] = span_tier
-                    else:
-                        pending.append(shard)
-            else:
-                pending.append(job)
+            if payload is MISS:
+                return False
+            with self._lock:
+                self.stats.cache_hits += 1
+            results[job] = payload
+            hits.append((job, tier))
+            return True
 
-        # Sharding changes the batch's unit count, so the total is only
+        for job in ordered:
+            if job in classified or hit(job):
+                continue  # scheduled as an earlier cell's unit, or cached
+            samples = folds.split(job)
+            if not samples:
+                pending.append(job)
+                continue
+            missing = [
+                sample for sample in samples
+                if sample not in classified and not hit(sample)
+            ]
+            for unit in folds.chunks(job, missing):
+                # A chunk equal to an earlier submitted job that was
+                # cached lands with the hits instead.
+                if unit not in results:
+                    classified.add(unit)
+                    pending.append(unit)
+
+        # Splitting changes the batch's unit count, so the total is only
         # known now; cache-hit events are emitted after classification.
         total = len(hits) + len(pending)
 
-        def note_shard_done(
-            shard: EvalJob, payload: Any, completed: int
-        ) -> None:
-            # Under the engine lock: fleet peer threads land shards
-            # concurrently with the local share, and the trackers'
-            # running tallies must not race.
+        def land(job: EvalJob, payload: Any, completed: int) -> None:
+            # Under the engine lock: fleet peer threads land units
+            # concurrently with the local share, and the cells' running
+            # tallies must not race.
             with self._lock:
-                for parent in shard_parents.get(shard, ()):
-                    tracker = trackers[parent]
-                    tracker.update(payload)
-                    self._emit(
-                        "eval-shard-done", shard, completed, total,
-                        start, detail=tracker.as_detail(parent),
-                        progress=progress,
-                    )
+                landed = folds.land(job, payload)
+                for sample, _, details in landed:
+                    for detail in details:
+                        self._emit(
+                            "eval-shard-done", sample, completed, total,
+                            start, detail=detail, progress=progress,
+                        )
+            for sample, record, _ in landed:
+                if sample != job:  # split out of a chunk
+                    self.cache.put(sample, record)
 
-        for done, job in enumerate(hits, start=1):
+        for done, (job, tier) in enumerate(hits, start=1):
             self._emit(
                 "cache-hit", job, done, total, start,
-                detail={"tier": hit_tiers[job]}, progress=progress,
+                detail={"tier": tier}, progress=progress,
             )
-            if job in shard_parents:
-                note_shard_done(job, results[job], done)
+            land(job, results[job], done)
 
         if pending:
-            on_done = note_shard_done if plans else None
             states = [_JobState(job=job) for job in pending]
             if self.fleet is not None and self.fleet.peers:
                 self._run_fleet(
-                    states, results, failures, total, start, on_done,
+                    states, results, failures, total, start, land,
                     progress, on_error,
                 )
             else:
                 self._run_local(
-                    states, results, failures, total, start, on_done,
+                    states, results, failures, total, start, land,
                     progress, on_error,
                 )
 
-        for parent, shards in plans.items():
-            failed = [
-                failures[shard] for shard in shards if shard in failures
-            ]
-            if failed:
-                # The cell cannot be merged; surface a parent-level
-                # failure naming the lost spans (collect mode only —
-                # raise mode never reaches the merge step).
-                parent_failure = shard_failure(parent, failed)
-                failures[parent] = parent_failure
+        for cell, outcome in folds.fold(results, failures):
+            if isinstance(outcome, JobFailure):
+                # Collect mode only: raise mode never reaches the fold.
+                failures[cell] = outcome
                 self._emit(
-                    "gave-up", parent,
+                    "gave-up", cell,
                     min(len(results) + len(failures), total), total,
-                    start, detail=parent_failure.as_detail(),
+                    start, detail=outcome.as_detail(),
                     progress=progress,
                 )
                 continue
-            merged = shard_lib.merge_eval_shards(
-                parent, [results[shard] for shard in shards]
-            )
-            self.cache.put(parent, merged)
-            results[parent] = merged
+            self.cache.put(cell, outcome)
+            results[cell] = outcome
 
         if failures:
             results.update(failures)

@@ -1,8 +1,9 @@
-"""Shard planning for per-sample evaluation shards.
+"""Contiguous span planning.
 
-:mod:`repro.eval.eval_shards` splits a cell's samples into contiguous
-``[start, stop)`` spans, gives every span a content-addressed job key,
-and re-folds the per-span results in global order.
+Cuts ``num_items`` into ``[start, stop)`` spans of a fixed size.  The
+engine's per-sample cell folds (:mod:`repro.eval.eval_shards`) cut each
+contiguous run of a cell's missing samples into chunks of at most
+``forward_batch`` samples with it.
 """
 
 from __future__ import annotations

@@ -1,164 +1,220 @@
-"""Per-sample evaluation sharding as an engine workload.
+"""Per-sample evaluation: a cell is a fold of per-sample jobs.
 
-A whole (model, dataset, method) ``eval`` cell is split into contiguous per-sample-span shards, each an
-``eval-shard`` :class:`~repro.engine.jobs.EvalJob` the
-:class:`~repro.engine.scheduler.ExperimentEngine` dedupes, caches, and
-executes on its worker pool; the span results are re-folded in global
-sample order by :meth:`EvalResult.merge
+An ``eval`` :class:`~repro.engine.jobs.EvalJob` evaluates the sample
+span ``[start, start + num_samples)``.  ``start`` rides in ``extra`` and
+is left out at 0, so a plan's cell is the span at 0 and a one-sample
+cell is its own sample job.  :class:`CellFolds` is the policy the
+:class:`~repro.engine.scheduler.ExperimentEngine` applies to a cell of
+several samples that misses the cache: look up each sample, execute
+the contiguous runs of missing ones in chunks of at most
+``forward_batch`` samples (one executed job fills one forward stack),
+cache every sample, and fold the cell with :meth:`EvalResult.merge
 <repro.eval.metrics.EvalResult.merge>`.
 
-Bit-identity with the serial cell rests on two properties:
-
-* dataset generation is *prefix-stable* — sample ``i`` depends only on
-  ``(seed, dataset, i)`` (:func:`repro.workloads.datasets.
-  make_dataset_span`), so a span evaluated in isolation sees exactly
-  the items the serial loop would have fed it;
-* shards return *per-span* :class:`~repro.eval.metrics.EvalResult`\\ s
-  whose per-sample lists concatenate in span order, reproducing the
-  serial loop's record sequence (and therefore its float means) bit
-  for bit.
-
-Shard keys deliberately exclude the parent cell's total sample count:
-the span ``[0, 3)`` of an 8-sample cell and of a 16-sample cell are
-the *same job*.  Growing ``--samples`` therefore re-executes only the
-new suffix spans — the prefix is served from the result cache, in
-memory or on disk.
+The fold is bit-identical to evaluating the cell whole: dataset
+generation is *prefix-stable* (sample ``i`` depends only on ``(seed,
+dataset, i)``, see :func:`repro.workloads.datasets.make_dataset_span`),
+and per-sample records concatenated in sample order reproduce the
+whole cell's lists and float means bit for bit.  Sample keys exclude
+the cell's total, so sample 3 of an 8-sample and of a 16-sample cell
+are one job, and growing ``--samples`` executes only the new samples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
-from repro.engine.jobs import EvalJob, register_job_kind
+from repro.engine.faults import JobFailure, shard_failure
+from repro.engine.jobs import EvalJob
 from repro.engine.sharding import plan_shards
 from repro.eval.metrics import EvalResult
 
-EVAL_SHARD_KIND = "eval-shard"
-EVAL_SHARD_PROVIDER = "repro.eval.eval_shards"
+
+def span_start(job: EvalJob) -> int:
+    """The first sample index an ``eval`` job evaluates."""
+    return dict(job.extra).get("start", 0)
 
 
-def shard_span(job: EvalJob) -> tuple[int, int]:
-    """The ``[start, stop)`` sample span of an ``eval-shard`` job."""
-    return tuple(job.extra_map["span"])
+def job_span(job: EvalJob) -> tuple[int, int]:
+    """The ``[start, stop)`` sample span of an ``eval`` job."""
+    start = span_start(job)
+    return start, start + job.num_samples
 
 
-def result_method(job: EvalJob) -> str:
-    """The method label an evaluation of ``job`` reports.
+def span_job(cell: EvalJob, start: int, num_samples: int) -> EvalJob:
+    """The ``eval`` job for ``num_samples`` samples of ``cell`` from
+    sample ``start`` on."""
+    return dataclasses.replace(
+        cell, num_samples=num_samples,
+        extra=(("start", start),) if start else (),
+    )
 
-    :func:`repro.eval.runner.evaluate_samples` suffixes INT8 arms, so
-    merged and serial results carry identical labels.
-    """
-    return f"{job.method}-int8" if job.quantized else job.method
 
-
-def plan_eval_shards(job: EvalJob, shard_size: int) -> tuple[EvalJob, ...]:
-    """Split a whole-cell ``eval`` job into per-span shard jobs.
-
-    Every shard is a pure function of its key — ``(model, dataset,
-    method, span, seed, config digest, quantized)`` — and is shared by
-    *any* cell that covers the span: two experiments evaluating the
-    same cell at different ``num_samples`` dedupe on their common
-    prefix spans.
-    """
-    if job.kind != "eval":
-        raise ValueError(
-            f"can only shard 'eval' jobs, got kind {job.kind!r}"
-        )
+def cell_samples(job: EvalJob) -> tuple[EvalJob, ...]:
+    """The one-sample jobs ``job`` folds; empty if it runs whole (a
+    one-sample cell, or a kind other than ``eval``)."""
+    if job.kind != "eval" or job.num_samples < 2:
+        return ()
+    start = span_start(job)
     return tuple(
-        EvalJob(
-            model=job.model,
-            dataset=job.dataset,
-            method=job.method,
-            num_samples=stop - start,
-            seed=job.seed,
-            config=job.config,
-            quantized=job.quantized,
-            kind=EVAL_SHARD_KIND,
-            extra=(("span", (start, stop)),),
-            provider=EVAL_SHARD_PROVIDER,
-        )
-        for start, stop in plan_shards(job.num_samples, shard_size)
+        span_job(job, start + i, 1) for i in range(job.num_samples)
     )
 
 
-@register_job_kind(EVAL_SHARD_KIND)
-def _execute_eval_shard(job: EvalJob, forward_batch: int) -> EvalResult:
-    """Evaluate one sample span; return its per-sample records."""
-    from repro.eval.runner import evaluate_span
-
-    return evaluate_span(
-        job.model,
-        job.dataset,
-        job.method,
-        shard_span(job),
-        job.seed,
-        config=job.config,
-        quantized=job.quantized,
-        forward_batch=forward_batch,
-    )
-
-
-def merge_eval_shards(
-    parent: EvalJob, span_results: list[EvalResult]
+def merge_samples(
+    cell: EvalJob, sample_results: Sequence[EvalResult]
 ) -> EvalResult:
-    """Re-fold span results (already in global sample order) into a cell.
-
-    Bit-identical to evaluating ``parent`` serially for every shard
-    size and worker count — the property the parity test harness locks
-    in.
-    """
+    """Fold sample results (in sample order) into ``cell``'s result,
+    labelled like :func:`repro.eval.runner.evaluate_samples` labels
+    it (INT8 arms carry an ``-int8`` suffix)."""
+    method = f"{cell.method}-int8" if cell.quantized else cell.method
     return EvalResult.merge(
-        span_results,
-        model=parent.model,
-        dataset=parent.dataset,
-        method=result_method(parent),
+        sample_results, model=cell.model, dataset=cell.dataset,
+        method=method,
     )
 
 
 @dataclass
 class ShardProgress:
-    """Running partial-result statistics for one sharded cell.
+    """Running partial result of one cell, as its samples land.
 
-    Updated as the cell's shards finish (in completion order, which is
-    scheduling-dependent); feeds the ``eval-shard-done`` progress
-    event's running accuracy/sparsity so a consumer can stream partial
-    results before the cell is fully merged.  The counters are plain
-    sums — display-grade, not the bit-exact fold the final merge does.
+    Plain sums in completion order — display-grade, not the bit-exact
+    fold the final merge does.
     """
 
     shards_total: int
     shards_done: int = 0
-    samples: int = 0
     num_correct: int = 0
     sparsity_sum: float = 0.0
 
-    def update(self, span_result: EvalResult) -> None:
+    def update(
+        self, cell: EvalJob, sample: EvalResult
+    ) -> dict[str, object]:
+        """Count one landed sample; return the ``eval-shard-done``
+        event's ``detail`` payload."""
         self.shards_done += 1
-        self.samples += span_result.num_samples
-        self.num_correct += sum(bool(c) for c in span_result.correct)
-        self.sparsity_sum += float(sum(span_result.sparsities))
-
-    @property
-    def accuracy(self) -> float:
-        """Running accuracy over finished shards, in percent."""
-        if not self.samples:
-            return 0.0
-        return 100.0 * self.num_correct / self.samples
-
-    @property
-    def sparsity(self) -> float:
-        """Running mean computation sparsity, in percent."""
-        if not self.samples:
-            return 0.0
-        return 100.0 * self.sparsity_sum / self.samples
-
-    def as_detail(self, parent: EvalJob) -> dict[str, object]:
-        """The ``eval-shard-done`` event's ``detail`` payload."""
+        self.num_correct += sum(bool(c) for c in sample.correct)
+        self.sparsity_sum += float(sum(sample.sparsities))
         return {
-            "parent": parent.describe(),
+            "parent": cell.describe(),
             "shards_done": self.shards_done,
             "shards_total": self.shards_total,
-            "samples": self.samples,
-            "accuracy": self.accuracy,
-            "sparsity": self.sparsity,
+            "samples": self.shards_done,
+            "accuracy": 100.0 * self.num_correct / self.shards_done,
+            "sparsity": 100.0 * self.sparsity_sum / self.shards_done,
         }
+
+
+class CellFolds:
+    """One batch's split cells: the job that carries each sample, the
+    cells' running progress, and their folds.  ``lanes`` is the most
+    samples one executed chunk carries (the engine's
+    ``forward_batch``)."""
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = lanes
+        self.cells: dict[EvalJob, tuple[EvalJob, ...]] = {}
+        self.progress: dict[EvalJob, ShardProgress] = {}
+        self.parents: dict[EvalJob, list[EvalJob]] = {}
+        self.carried: dict[EvalJob, tuple[EvalJob, ...]] = {}
+        self.carrier: dict[EvalJob, EvalJob] = {}
+        self.landed: dict[EvalJob, EvalResult] = {}
+
+    def split(self, cell: EvalJob) -> tuple[EvalJob, ...]:
+        """Register a cell that missed the cache; return its samples,
+        or ``()`` if it runs whole."""
+        samples = cell_samples(cell)
+        if samples:
+            self.cells[cell] = samples
+            self.progress[cell] = ShardProgress(shards_total=len(samples))
+            for sample in samples:
+                self.parents.setdefault(sample, []).append(cell)
+        return samples
+
+    def chunks(
+        self, cell: EvalJob, missing: Sequence[EvalJob]
+    ) -> list[EvalJob]:
+        """The jobs that execute ``cell``'s ``missing`` samples.
+
+        Contiguous runs (in sample order) are cut into chunks of at
+        most ``lanes`` samples.  A one-sample chunk is the sample job
+        itself; a longer one is the span job covering it, which may be
+        ``cell`` itself.
+        """
+        runs: list[list[EvalJob]] = []
+        for sample in missing:
+            last = runs[-1][-1] if runs else None
+            if last is None or span_start(sample) != span_start(last) + 1:
+                runs.append([])
+            runs[-1].append(sample)
+        units = []
+        for run in runs:
+            for first, stop in plan_shards(len(run), self.lanes):
+                chunk = tuple(run[first:stop])
+                unit = chunk[0]
+                if len(chunk) > 1:
+                    unit = span_job(cell, span_start(unit), len(chunk))
+                    self.carried[unit] = chunk
+                    self.carrier.update(dict.fromkeys(chunk, unit))
+                units.append(unit)
+        return units
+
+    def land(
+        self, job: EvalJob, payload: EvalResult
+    ) -> list[tuple[EvalJob, EvalResult, list[dict[str, object]]]]:
+        """Record a finished or cached job's samples.
+
+        Returns ``(sample, record, details)`` for each sample of a split
+        cell that ``job`` carries: ``record`` is the sample's own
+        result (split out of a chunk) and ``details`` the
+        ``eval-shard-done`` payload of every cell holding the sample.
+        """
+        samples = self.carried.get(job)
+        if samples is None:
+            samples = (job,) if job in self.parents else ()
+            records = [payload]
+        else:
+            records = [
+                EvalResult(
+                    model=payload.model, dataset=payload.dataset,
+                    method=payload.method, correct=[c], sparsities=[s],
+                    traces=[t], dense_macs=[d],
+                )
+                for c, s, t, d in zip(
+                    payload.correct, payload.sparsities, payload.traces,
+                    payload.dense_macs,
+                )
+            ]
+        landed = []
+        for sample, record in zip(samples, records):
+            self.landed[sample] = record
+            details = [
+                self.progress[cell].update(cell, record)
+                for cell in self.parents[sample]
+            ]
+            landed.append((sample, record, details))
+        return landed
+
+    def fold(
+        self,
+        results: Mapping[EvalJob, object],
+        failures: Mapping[EvalJob, JobFailure],
+    ) -> Iterator[tuple[EvalJob, EvalResult | JobFailure]]:
+        """Each split cell's merged result, or a ``shards-failed``
+        failure naming the jobs that lost its samples.  A cell that
+        ran whole as one chunk is already settled and is skipped."""
+        for cell, samples in self.cells.items():
+            if cell in results or cell in failures:
+                continue
+            lost = dict.fromkeys(
+                self.carrier.get(s, s) for s in samples
+                if s not in self.landed
+            )
+            if lost:
+                yield cell, shard_failure(cell, [failures[j] for j in lost])
+            else:
+                yield cell, merge_samples(
+                    cell, [self.landed[s] for s in samples]
+                )

@@ -27,8 +27,10 @@ from typing import Any, Iterable, Mapping
 
 from repro.engine.jobs import EvalJob
 
-PROTOCOL_VERSION = 4
-"""Bumped whenever the pickled wire envelopes change shape."""
+PROTOCOL_VERSION = 5
+"""Bumped whenever the pickled wire envelopes change shape, or a job
+kind's meaning does (5: an ``eval`` job evaluates the span from its
+``start`` extra, which a version-4 peer would ignore)."""
 
 DIGEST_HEADER = "x-repro-sha256"
 """HTTP header carrying an object's payload digest on GET/PUT."""

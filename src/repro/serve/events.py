@@ -32,8 +32,8 @@ lifecycle ``retrying`` / ``gave-up`` / ``quarantined``), the encoded
 ``job`` (kind, model, dataset, method, sample count, seed, config
 digest, quantized flag, extras, content address, human label), the
 batch counters ``completed`` / ``total``, ``elapsed_s``, and the
-action-specific ``detail`` payload (for ``eval-shard-done``, the
-parent cell's running accuracy/sparsity; for the fault actions, the
+action-specific ``detail`` payload (for ``eval-shard-done``, a landed
+sample's cell's running accuracy/sparsity; for the fault actions, the
 retry counters or the structured :class:`~repro.engine.faults.
 JobFailure` record).  All payloads are pre-flattened to JSON-native
 types (tuples to lists, NumPy scalars to Python numbers) so

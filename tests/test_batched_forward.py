@@ -334,8 +334,7 @@ class TestStacking:
 class TestForwardBatchKnob:
     @pytest.mark.slow
     @pytest.mark.parametrize("knob", [
-        ["--forward-batch", "2"], ["--workers", "1"],
-        ["--eval-shards", "1"], ["--retries", "1"],
+        ["--forward-batch", "2"], ["--workers", "1"], ["--retries", "1"],
     ], ids=lambda knob: knob[0])
     def test_execution_knob_reruns_from_warm_cache(
         self, knob, tmp_path, capsys
@@ -376,8 +375,7 @@ class TestProgressUnderBatching:
         def run(forward_batch):
             events = []
             engine = ExperimentEngine(
-                eval_shards=2, progress=events.append,
-                forward_batch=forward_batch,
+                progress=events.append, forward_batch=forward_batch,
             )
             job = EvalJob(
                 model=MODEL, dataset="vqav2", method="focus",
@@ -392,10 +390,10 @@ class TestProgressUnderBatching:
         serial_result, serial_details = run(1)
         batched_result, batched_details = run(4)
         assert batched_result == serial_result
-        # Spans complete in the same order serially here, so the
+        # Samples land in the same order serially here, so the
         # running accuracy/sparsity stream is identical event for
-        # event — batching within a span never changes per-sample
-        # records, only wall-clock.
+        # event — four-lane chunks never change per-sample records,
+        # only wall-clock.
         assert batched_details == serial_details
         assert batched_details[-1]["samples"] == 6
         assert batched_details[-1]["accuracy"] == pytest.approx(

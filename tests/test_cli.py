@@ -98,7 +98,7 @@ class TestParser:
         assert defaults.on_error == "raise"
 
     @pytest.mark.parametrize("flag", [
-        "--workers", "--eval-shards", "--samples", "--forward-batch",
+        "--workers", "--samples", "--forward-batch",
     ])
     @pytest.mark.parametrize("value", ["0", "-1", "-2", "2.5", "many"])
     def test_counts_must_be_positive_integers(self, flag, value, capsys):
@@ -129,7 +129,7 @@ class TestParser:
             build_parser().parse_args(["fig9", "--cache-dir", str(path)])
         assert "not a directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--eval-shards"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_positive_counts_accepted(self, flag):
         args = build_parser().parse_args(["fig9", flag, "3"])
         assert getattr(args, flag.lstrip("-").replace("-", "_")) == 3
@@ -324,7 +324,7 @@ class TestScenarioFlag:
     @pytest.mark.slow
     def test_scenario_experiment_runs(self, capsys):
         assert main(["scenario", "--scenario", "mtconv:turns=2",
-                     "--samples", "2", "--eval-shards", "1"]) == 0
+                     "--samples", "2"]) == 0
         out = capsys.readouterr().out
         assert "SCENARIO mtconv" in out
         assert "digest" in out

@@ -1,16 +1,15 @@
-"""Per-sample eval sharding: merge semantics, parity, and prefix reuse.
+"""Per-sample eval cells: merge semantics, parity, and prefix reuse.
 
-The harness locks in the tentpole guarantee: an ``eval`` cell split
-into per-sample-span ``eval-shard`` jobs and re-folded by
-:meth:`EvalResult.merge` is *bit-identical* to the serial
-:func:`~repro.eval.runner.evaluate` cell for every worker count and
-span size.  Property tests (hypothesis, seeded random results) pin
-down the merge algebra — order-invariance, associativity, empty-list
-identity, accumulate-vs-merge equivalence — while the parity matrix
-exercises ``workers ∈ {1, 2, 4} × shard_size ∈ {1, 3, all}`` over a
-focus arm, a dense baseline, and an INT8 arm, and the cache tests pin
-the prefix-reuse contract: growing ``--samples`` executes only the new
-suffix spans.
+The harness locks in the engine's guarantee: an ``eval`` cell folded
+from per-sample jobs by :meth:`EvalResult.merge` is *bit-identical* to
+the whole-cell :func:`~repro.eval.runner.evaluate` for every worker
+count and forward-batch lane count.  Property tests (hypothesis,
+seeded random results) pin down the merge algebra — order-invariance,
+associativity, empty-list identity, accumulate-vs-merge equivalence —
+while the parity matrix exercises ``workers ∈ {1, 2, 4} ×
+forward_batch ∈ {1, 3, 5}`` over a focus arm, a dense baseline, and an
+INT8 arm, and the cache tests pin the prefix-reuse contract: growing
+``--samples`` executes only the new samples.
 """
 
 from __future__ import annotations
@@ -24,12 +23,14 @@ from hypothesis import strategies as st
 
 from repro.accel.trace import GemmTrace, ModelTrace
 from repro.engine import EvalJob, ExperimentEngine, ResultCache
+from repro.engine.jobs import execute_job
 from repro.engine.sharding import plan_shards
 from repro.eval.eval_shards import (
-    EVAL_SHARD_KIND,
-    merge_eval_shards,
-    plan_eval_shards,
-    shard_span,
+    CellFolds,
+    cell_samples,
+    job_span,
+    merge_samples,
+    span_job,
 )
 from repro.eval.metrics import EvalResult
 from repro.eval.runner import ModelCache, QuantizedModelCache, evaluate
@@ -145,45 +146,62 @@ class TestShardPlanning:
         return EvalJob(**defaults)
 
     def test_spans_cover_every_sample_once(self):
-        shards = plan_eval_shards(self._job(), shard_size=4)
-        assert [shard_span(s) for s in shards] == [(0, 4), (4, 6)]
-        assert [s.num_samples for s in shards] == [4, 2]
-        assert all(s.kind == EVAL_SHARD_KIND for s in shards)
+        samples = cell_samples(self._job())
+        assert [job_span(s) for s in samples] == [
+            (i, i + 1) for i in range(6)
+        ]
+        assert all(s.num_samples == 1 and s.kind == "eval"
+                   for s in samples)
+        # Sample 0 carries no start: it is the one-sample cell itself.
+        assert samples[0] == self._job(num_samples=1)
+        assert samples[1].extra == (("start", 1),)
 
     def test_jobs_are_content_addressed(self):
-        a = plan_eval_shards(self._job(), shard_size=2)
-        b = plan_eval_shards(self._job(), shard_size=2)
+        a = cell_samples(self._job())
+        b = cell_samples(self._job())
         assert a == b
         assert [j.job_id for j in a] == [j.job_id for j in b]
-        assert len({j.key for j in a}) == 3  # distinct spans
+        assert len({j.key for j in a}) == 6  # distinct samples
 
     def test_key_excludes_parent_total(self):
-        # The tentpole cache property: a span is the *same job* no
-        # matter how many samples its parent cell has, so a grown cell
-        # reuses its prefix.
-        small = plan_eval_shards(self._job(num_samples=4), shard_size=2)
-        large = plan_eval_shards(self._job(num_samples=8), shard_size=2)
-        assert list(large[:2]) == list(small)
-        assert [j.job_id for j in large[:2]] == [j.job_id for j in small]
+        # A sample is the *same job* no matter how many samples its
+        # cell has, so a grown cell reuses its prefix.
+        small = cell_samples(self._job(num_samples=4))
+        large = cell_samples(self._job(num_samples=8))
+        assert list(large[:4]) == list(small)
+        assert [j.job_id for j in large[:4]] == [j.job_id for j in small]
 
     def test_key_distinguishes_cell_fields_and_span(self):
-        base = plan_eval_shards(self._job(), shard_size=3)[0]
+        base = cell_samples(self._job())[0]
         for overrides in (dict(method="dense"), dict(seed=1),
                           dict(quantized=True), dict(dataset="mme")):
-            other = plan_eval_shards(
-                self._job(**overrides), shard_size=3
-            )[0]
+            other = cell_samples(self._job(**overrides))[0]
             assert base != other
+        assert cell_samples(self._job())[1] != base
 
     def test_only_eval_jobs_shard(self):
-        with pytest.raises(ValueError, match="eval"):
-            plan_eval_shards(self._job(kind="fig2b"), shard_size=2)
+        assert cell_samples(self._job(kind="fig2b")) == ()
+        # A one-sample cell is its own sample job: nothing to split.
+        assert cell_samples(self._job(num_samples=1)) == ()
 
-    def test_engine_rejects_invalid_eval_shards(self):
-        with pytest.raises(ValueError, match="eval_shards"):
-            ExperimentEngine(eval_shards=0)
-        with pytest.raises(ValueError, match="eval_shards"):
-            ExperimentEngine(eval_shards=-2)
+    def test_chunks_cut_contiguous_runs_to_lanes(self):
+        cell = self._job(num_samples=8)
+        samples = cell_samples(cell)
+        folds = CellFolds(lanes=2)
+        folds.split(cell)
+        missing = [samples[i] for i in (0, 1, 2, 4, 5, 6)]
+        units = folds.chunks(cell, missing)
+        assert [job_span(u) for u in units] == [
+            (0, 2), (2, 3), (4, 6), (6, 7),
+        ]
+        assert units[0] == self._job(num_samples=2)
+        assert units[1] == samples[2]
+        assert units[2] == span_job(cell, 4, 2)
+        # With every sample missing and enough lanes, the chunk is the
+        # cell itself.
+        small = self._job(num_samples=3)
+        folds = CellFolds(lanes=3)
+        assert folds.chunks(small, folds.split(small)) == [small]
 
     def test_plan_shards(self):
         assert plan_shards(9, 3) == [(0, 3), (3, 6), (6, 9)]
@@ -204,14 +222,14 @@ class TestShardPlanning:
 
     def test_merge_eval_shards_labels_int8(self):
         parent = self._job(num_samples=0, quantized=True)
-        merged = merge_eval_shards(parent, [])
+        merged = merge_samples(parent, [])
         assert merged.method == "focus-int8"
         assert merged.num_samples == 0
 
 
 @pytest.mark.slow
 class TestShardedParity:
-    """Sharded eval cells are bit-identical to serial, always."""
+    """Cells folded from samples are bit-identical to whole cells."""
 
     SAMPLES = 5
 
@@ -235,108 +253,126 @@ class TestShardedParity:
         }
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("shard_size", [1, 3, 5])
-    def test_bit_identical_to_serial(self, serial, workers, shard_size):
+    @pytest.mark.parametrize("forward_batch", [1, 3, 5])
+    def test_bit_identical_to_serial(self, serial, workers, forward_batch):
+        # forward_batch=5 runs each cell as one chunk whose key is the
+        # cell's own; its samples are still split out and cached.
         jobs = self._jobs()
         with ExperimentEngine(
-            workers=workers, eval_shards=shard_size
+            workers=workers, forward_batch=forward_batch
         ) as engine:
             results = engine.run(list(jobs.values()))
         for arm, job in jobs.items():
             assert results[job] == serial[arm], arm  # every field exact
-        expected = len(ARMS) * len(plan_shards(self.SAMPLES, shard_size))
-        assert engine.stats.executed_by_kind[EVAL_SHARD_KIND] == expected
+            for i, sample in enumerate(cell_samples(job)):
+                cached = engine.cache.get(sample)
+                assert cached.correct == serial[arm].correct[i:i + 1]
+                assert cached.traces == serial[arm].traces[i:i + 1]
+        expected = len(ARMS) * len(plan_shards(self.SAMPLES, forward_batch))
+        assert engine.stats.executed_by_kind["eval"] == expected
 
     def test_warm_rerun_serves_whole_cells(self, serial):
-        engine = ExperimentEngine(eval_shards=2)
+        engine = ExperimentEngine()
         jobs = list(self._jobs().values())
         engine.run(jobs)
         executed = engine.stats.executed
+        hits = engine.stats.cache_hits
         rerun = engine.run(jobs)
-        # The merged cell was stored under the whole-cell key, so the
-        # re-run needs neither evaluation nor re-merging.
+        # The folded cell was stored under its own key, so the re-run
+        # needs neither evaluation nor sample lookups.
         assert engine.stats.executed == executed
-        assert engine.stats.executed_by_kind.get("eval", 0) == 0
+        assert engine.stats.cache_hits == hits + len(jobs)
         for (method, quant), job in self._jobs().items():
             assert rerun[job] == serial[(method, quant)]
 
     def test_prefix_reuse_on_larger_samples(self):
         cache = ResultCache()
-        small = ExperimentEngine(eval_shards=2, cache=cache)
+        small = ExperimentEngine(cache=cache)
         small.run(list(self._jobs(num_samples=4).values()))
-        assert small.stats.executed_by_kind[EVAL_SHARD_KIND] == 3 * 2
+        assert small.stats.executed_by_kind["eval"] == 3 * 4
 
-        large = ExperimentEngine(eval_shards=2, cache=cache)
+        large = ExperimentEngine(cache=cache)
         jobs = self._jobs(num_samples=8)
         results = large.run(list(jobs.values()))
-        # Spans (0,2) and (2,4) of every arm come from the cache; only
-        # the new suffix spans (4,6) and (6,8) execute.
-        assert large.stats.executed_by_kind[EVAL_SHARD_KIND] == 3 * 2
-        assert cache.stats.hits_by_kind[EVAL_SHARD_KIND] == 3 * 2
+        # Samples 0-3 of every arm come from the cache; only the new
+        # samples 4-7 execute.
+        assert large.stats.executed_by_kind["eval"] == 3 * 4
+        assert cache.stats.hits_by_kind["eval"] == 3 * 4
         for (method, quant), job in jobs.items():
             assert results[job] == evaluate(
                 MODEL, DATASET, method, 8, 0, quantized=quant
             ), (method, quant)
 
     def test_spans_dedupe_across_cells_with_different_totals(self):
-        engine = ExperimentEngine(eval_shards=2)
+        engine = ExperimentEngine()
         job4 = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                        num_samples=4, seed=0)
         job8 = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                        num_samples=8, seed=0)
         results = engine.run([job4, job8])
-        # One schedule: the 4-sample cell's spans are a prefix of the
-        # 8-sample cell's, so only 4 unique spans run for 12 samples.
-        assert engine.stats.executed_by_kind[EVAL_SHARD_KIND] == 4
+        # One schedule: the 4-sample cell's samples are a prefix of the
+        # 8-sample cell's, so only 8 unique samples run for 12.
+        assert engine.stats.executed_by_kind["eval"] == 8
         assert results[job4] == evaluate(MODEL, DATASET, "focus", 4, 0)
         assert results[job8] == evaluate(MODEL, DATASET, "focus", 8, 0)
 
     def test_directly_submitted_spans_dedupe_against_plans(self):
-        # A span job submitted alongside its parent cell (in either
-        # order) must schedule once, not once per route.
+        # A sample job submitted alongside its cell (before or after
+        # it) must schedule once, not once per route.
         parent = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                          num_samples=4, seed=0)
-        spans = plan_eval_shards(parent, shard_size=2)
+        samples = cell_samples(parent)
         events = []
-        engine = ExperimentEngine(eval_shards=2, progress=events.append)
-        results = engine.run([spans[0], parent, spans[1]])
-        assert engine.stats.executed_by_kind[EVAL_SHARD_KIND] == 2
+        engine = ExperimentEngine(progress=events.append)
+        results = engine.run([samples[1], parent, samples[3]])
+        assert engine.stats.executed_by_kind["eval"] == 4
         shard_done = [e for e in events if e.action == "eval-shard-done"]
-        assert [e.detail["shards_done"] for e in shard_done] == [1, 2]
+        assert [e.detail["shards_done"] for e in shard_done] == [1, 2, 3, 4]
         assert shard_done[-1].detail["samples"] == 4
         assert results[parent] == evaluate(MODEL, DATASET, "focus", 4, 0)
-        assert results[spans[0]].correct == results[parent].correct[:2]
+        assert results[samples[1]].correct == results[parent].correct[1:2]
 
     def test_span_results_persist_in_disk_cache(self, tmp_path):
         job = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                       num_samples=4, seed=0)
-        cold = ExperimentEngine(
-            eval_shards=2, cache=ResultCache(cache_dir=tmp_path)
-        )
+        cold = ExperimentEngine(cache=ResultCache(cache_dir=tmp_path))
         first = cold.run([job])[job]
-        # A fresh process growing the cell finds the spans on disk.
-        warm = ExperimentEngine(
-            eval_shards=2, cache=ResultCache(cache_dir=tmp_path)
-        )
+        # A fresh process growing the cell finds the samples on disk.
+        warm = ExperimentEngine(cache=ResultCache(cache_dir=tmp_path))
         grown = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                         num_samples=6, seed=0)
         result = warm.run([grown])[grown]
-        assert warm.stats.executed_by_kind[EVAL_SHARD_KIND] == 1
-        assert warm.cache.stats.disk_hits == 2
+        assert warm.stats.executed_by_kind["eval"] == 2
+        assert warm.cache.stats.disk_hits == 4
         assert result.correct[:4] == first.correct
         assert result == evaluate(MODEL, DATASET, "focus", 6, 0)
+
+    def test_lane_chunks_cache_every_sample(self, tmp_path):
+        # Samples a two-lane run executed in chunks serve a grown
+        # one-lane run: each chunk was split into per-sample entries.
+        job = EvalJob(model=MODEL, dataset=DATASET, method="focus",
+                      num_samples=4, seed=0)
+        two_lane = ExperimentEngine(
+            forward_batch=2, cache=ResultCache(cache_dir=tmp_path)
+        )
+        two_lane.run([job])
+        assert two_lane.stats.executed_by_kind["eval"] == 2  # 2 chunks
+        grown = EvalJob(model=MODEL, dataset=DATASET, method="focus",
+                        num_samples=5, seed=0)
+        one_lane = ExperimentEngine(cache=ResultCache(cache_dir=tmp_path))
+        result = one_lane.run([grown])[grown]
+        assert one_lane.stats.executed_by_kind["eval"] == 1
+        assert one_lane.cache.stats.disk_hits == 4
+        assert result == evaluate(MODEL, DATASET, "focus", 5, 0)
 
 
 @pytest.mark.slow
 class TestEvalShardProgress:
-    """Sharded cells stream running partial results as spans land."""
+    """Split cells stream running partial results as samples land."""
 
-    def _run(self, workers=1, eval_shards=2, num_samples=5):
+    def _run(self, workers=1, num_samples=5):
         events = []
-        engine = ExperimentEngine(
-            workers=workers, eval_shards=eval_shards,
-            progress=events.append,
-        )
+        engine = ExperimentEngine(workers=workers, progress=events.append)
         job = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                       num_samples=num_samples, seed=0)
         merged = engine.run([job])[job]
@@ -345,20 +381,18 @@ class TestEvalShardProgress:
     def test_eval_shard_done_stream(self):
         events, merged, _ = self._run()
         shard_done = [e for e in events if e.action == "eval-shard-done"]
-        assert len(shard_done) == 3  # ceil(5 / 2) spans
-        # Each span completes (started/completed) *and* streams its
-        # parent's running partial result.
-        assert [e.action for e in events].count("completed") == 3
+        assert len(shard_done) == 5
+        # Each sample completes (started/completed) *and* streams its
+        # cell's running partial result.
+        assert [e.action for e in events].count("completed") == 5
         done = [e.detail["shards_done"] for e in shard_done]
-        assert done == [1, 2, 3]
-        samples = [e.detail["samples"] for e in shard_done]
-        assert samples[-1] == 5
-        assert samples == sorted(samples)
+        assert done == [1, 2, 3, 4, 5]
+        assert [e.detail["samples"] for e in shard_done] == done
         assert all(
-            e.detail["shards_total"] == 3 and "focus" in e.detail["parent"]
+            e.detail["shards_total"] == 5 and "focus" in e.detail["parent"]
             for e in shard_done
         )
-        # Once every span has landed the running stats *are* the cell.
+        # Once every sample has landed the running stats *are* the cell.
         final = shard_done[-1].detail
         assert final["accuracy"] == pytest.approx(merged.accuracy)
         assert final["sparsity"] == pytest.approx(merged.sparsity)
@@ -366,31 +400,31 @@ class TestEvalShardProgress:
     def test_partial_results_stream_from_pool(self):
         events, merged, _ = self._run(workers=2)
         shard_done = [e for e in events if e.action == "eval-shard-done"]
-        assert [e.detail["shards_done"] for e in shard_done] == [1, 2, 3]
+        assert [e.detail["shards_done"] for e in shard_done] == [
+            1, 2, 3, 4, 5,
+        ]
         assert shard_done[-1].detail["accuracy"] == pytest.approx(
             merged.accuracy
         )
 
     def test_cached_spans_also_stream(self):
         cache = ResultCache()
-        self._run_with_cache(cache, num_samples=4)
-        events, _, engine = self._run_with_cache(cache, num_samples=6)
+        self._run_with_cache(cache, num_samples=2)
+        events, _, engine = self._run_with_cache(cache, num_samples=3)
         shard_done = [e for e in events if e.action == "eval-shard-done"]
-        # Spans (0,2) and (2,4) stream as cache hits before the new
-        # suffix span executes.
+        # Samples 0 and 1 stream as cache hits before the new sample
+        # executes.
         assert len(shard_done) == 3
         assert [e.action for e in events] == [
             "cache-hit", "eval-shard-done",
             "cache-hit", "eval-shard-done",
             "started", "completed", "eval-shard-done",
         ]
-        assert engine.stats.executed_by_kind[EVAL_SHARD_KIND] == 1
+        assert engine.stats.executed_by_kind["eval"] == 1
 
     def _run_with_cache(self, cache, num_samples):
         events = []
-        engine = ExperimentEngine(
-            eval_shards=2, cache=cache, progress=events.append
-        )
+        engine = ExperimentEngine(cache=cache, progress=events.append)
         job = EvalJob(model=MODEL, dataset=DATASET, method="focus",
                       num_samples=num_samples, seed=0)
         merged = engine.run([job])[job]
@@ -426,36 +460,38 @@ class TestModelCacheKeying:
 
 @pytest.mark.slow
 class TestDriverShardingParity:
-    """A registered driver shards transparently through the engine."""
+    """A registered driver folds its cells transparently."""
 
     def test_fig2c_sharded_equals_serial(self):
         from repro.engine.registry import run_plan
         from repro.eval.experiments import plan_fig2c
 
         plan = plan_fig2c(num_samples=2)
-        serial = plan.assemble(ExperimentEngine(workers=1).run(plan.jobs))
-        with ExperimentEngine(workers=2, eval_shards=1) as engine:
-            sharded = run_plan(plan_fig2c(num_samples=2), engine)
-        assert sharded == serial
-        assert engine.stats.executed_by_kind[EVAL_SHARD_KIND] > 0
-        assert engine.stats.executed_by_kind.get("eval", 0) == 0
+        # Oracle: every cell executed whole, outside the engine.
+        serial = plan.assemble({job: execute_job(job) for job in plan.jobs})
+        with ExperimentEngine(workers=2) as engine:
+            folded = run_plan(plan_fig2c(num_samples=2), engine)
+        assert folded == serial
+        assert engine.stats.executed_by_kind["eval"] == 2 * len(plan.jobs)
 
 
 class TestCli:
-    def test_parses_eval_shards(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["fig13", "--eval-shards", "2"])
-        assert args.eval_shards == 2
-        assert build_parser().parse_args(["fig13"]).eval_shards is None
-
     @pytest.mark.slow
     def test_main_streams_shard_progress(self, capsys):
         from repro.cli import main
 
-        assert main([
-            "fig13", "--samples", "2", "--eval-shards", "1", "--progress",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "running acc" in captured.err
-        assert "eval shards" in captured.out
+        assert main(["fig13", "--samples", "2", "--progress"]) == 0
+        assert "running acc" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_grown_samples_execute_only_new_samples(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["table3", "--cache-dir", str(tmp_path)]
+        assert main([*argv, "--samples", "2"]) == 0
+        assert " 8 executed" in capsys.readouterr().out
+        assert main([*argv, "--samples", "4"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        # 4 cells x 2 cached samples hit; only the 8 new samples run.
+        assert " 8 cached (8 from disk)" in summary
+        assert " 8 executed" in summary

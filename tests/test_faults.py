@@ -284,10 +284,11 @@ class TestSerialRetries:
             ExperimentEngine(job_timeout_s=0)
 
     def test_failed_shard_fails_parent_cell(self):
-        install_fault_plan("*:span=(0, 1)@*:raise")
+        # Sample 0 of the cell; sample 1's label ends in ":start=1".
+        install_fault_plan("*:n1:s0@*:raise")
         parent = _job(num_samples=2)
         events = []
-        engine = ExperimentEngine(eval_shards=1, progress=events.append)
+        engine = ExperimentEngine(progress=events.append)
         results = engine.run([parent], on_error="collect")
         failure = results[parent]
         assert isinstance(failure, JobFailure)

@@ -4,6 +4,8 @@
 ``run-done`` report digests of its default run: ``all --samples 1
 --seed 0``, and ``table2 table4 --samples 2 --seed 0``, whose cells
 have two samples each, so a stacked run puts two lanes in one pass.
+The default run also pins its schedule: 103 executed jobs, no split
+cells at one sample per cell, and 103 disk-cache entries.
 A refactor that changes any report's bytes fails here; refresh the
 ledger only for an intended change, with
 ``scripts/refresh_golden.py --reason TEXT``.
@@ -11,6 +13,7 @@ ledger only for an intended change, with
 
 import json
 import os
+from collections import Counter
 import pathlib
 import subprocess
 import sys
@@ -29,7 +32,7 @@ def _ledger_entry(argv):
     raise LookupError(f"no ledger entry for {argv}")
 
 
-def _run_reports(argv, tmp_path):
+def _run_events(argv, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
     jsonl = tmp_path / "progress.jsonl"
@@ -38,16 +41,30 @@ def _run_reports(argv, tmp_path):
          "--progress-jsonl", str(jsonl)],
         env=env, check=True, stdout=subprocess.DEVNULL, timeout=600,
     )
-    done = json.loads(jsonl.read_text().splitlines()[-1])
-    assert done["event"] == "run-done"
-    return done["reports"]
+    events = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    assert events[-1]["event"] == "run-done"
+    return events
+
+
+def _run_reports(argv, tmp_path):
+    return _run_events(argv, tmp_path)[-1]["reports"]
 
 
 @pytest.mark.slow
 def test_default_run_matches_golden_digests(tmp_path):
     # The default command: a worker pool sized to the usable CPUs.
     golden = _ledger_entry(["all", "--samples", "1", "--seed", "0"])
-    assert _run_reports(golden["argv"], tmp_path) == golden["reports"]
+    cache = tmp_path / "cache"
+    events = _run_events(
+        [*golden["argv"], "--cache-dir", str(cache)], tmp_path
+    )
+    assert events[-1]["reports"] == golden["reports"]
+    # One-sample cells are their own sample jobs: nothing splits.
+    assert len(events) == 208
+    actions = Counter(event.get("action") for event in events)
+    assert actions["completed"] == 103
+    assert actions["eval-shard-done"] == 0
+    assert len(list(cache.iterdir())) == 103
 
 
 @pytest.mark.slow

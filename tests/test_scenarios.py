@@ -5,7 +5,7 @@ Covers the spec grammar (canonicalization, digests, validation), the
 prefix-stability contract of every family (hypothesis: span ``(0, n)``
 is a byte-identical prefix of span ``(0, m)`` for random seeds and
 params), and the engine-level consequence: growing ``--samples`` on a
-warm cache re-executes only the suffix shards, zero prefix jobs —
+warm cache re-executes only the suffix samples, zero prefix jobs —
 mirroring ``test_eval_sharding.py``.
 """
 
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import ExperimentEngine, ResultCache
 from repro.engine import registry
 from repro.eval import reporting  # noqa: F401  (attaches formatters)
-from repro.eval.eval_shards import EVAL_SHARD_KIND
 from repro.workloads import (
     Sample,
     is_scenario_name,
@@ -196,25 +195,25 @@ class TestEngineSuffixOnlyReruns:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_grown_samples_execute_only_the_suffix(self, family):
         cache = ResultCache()
-        small = ExperimentEngine(eval_shards=1, cache=cache)
+        small = ExperimentEngine(cache=cache)
         try:
             registry.run_experiments(
                 ["scenario"], small, scenario=family, num_samples=2,
                 methods=("dense",),
             )
-            assert small.stats.executed_by_kind[EVAL_SHARD_KIND] == 2
+            assert small.stats.executed_by_kind["eval"] == 2
         finally:
             small.close()
 
-        large = ExperimentEngine(eval_shards=1, cache=cache)
+        large = ExperimentEngine(cache=cache)
         try:
             results = registry.run_experiments(
                 ["scenario"], large, scenario=family, num_samples=4,
                 methods=("dense",),
             )
-            # Zero prefix jobs re-run: only the 2 new suffix shards.
-            assert large.stats.executed_by_kind[EVAL_SHARD_KIND] == 2
-            assert cache.stats.hits_by_kind[EVAL_SHARD_KIND] == 2
+            # Zero prefix jobs re-run: only the 2 new suffix samples.
+            assert large.stats.executed_by_kind["eval"] == 2
+            assert cache.stats.hits_by_kind["eval"] == 2
         finally:
             large.close()
         report = registry.format_result("scenario", results["scenario"])
@@ -222,7 +221,7 @@ class TestEngineSuffixOnlyReruns:
 
     def test_spelling_variants_hit_the_same_cache(self):
         cache = ResultCache()
-        first = ExperimentEngine(eval_shards=1, cache=cache)
+        first = ExperimentEngine(cache=cache)
         try:
             registry.run_experiments(
                 ["scenario"], first, scenario="mtconv:turns=2,seed=1",
@@ -230,7 +229,7 @@ class TestEngineSuffixOnlyReruns:
             )
         finally:
             first.close()
-        second = ExperimentEngine(eval_shards=1, cache=cache)
+        second = ExperimentEngine(cache=cache)
         try:
             registry.run_experiments(
                 ["scenario"], second, scenario="mtconv:seed=1,turns=2",
@@ -241,7 +240,7 @@ class TestEngineSuffixOnlyReruns:
             second.close()
 
     def test_result_reports_digest_and_canonical_name(self):
-        engine = ExperimentEngine(eval_shards=1)
+        engine = ExperimentEngine()
         try:
             results = registry.run_experiments(
                 ["scenario"], engine, scenario="tenantmix:burst=2",

@@ -103,10 +103,7 @@ class TestEventCodec:
     """Round-trip every event kind through the canonical JSON codec."""
 
     def progress_events(self) -> list[ProgressEvent]:
-        shard = make_job(
-            kind="eval-shard", num_samples=2,
-            extra=(("span", (2, 4)),),
-        )
+        shard = make_job(num_samples=1, extra=(("start", 2),))
         capture = make_job(
             kind="fig2b", method="similarity",
             extra=(("vector_sizes", (16, 32)),),
@@ -167,7 +164,7 @@ class TestEventCodec:
         assert isinstance(detail["accuracy"], float)
         assert detail["shards_done"] == 1
         # tuples in job extras become lists, losslessly
-        assert decoded["job"]["extra"] == [["span", [2, 4]]]
+        assert decoded["job"]["extra"] == [["start", 2]]
 
     def test_terminal_round_trips(self):
         done = codec.encode_run_done(
