@@ -76,8 +76,9 @@ class EvalJob:
             from the method, so accuracy comparisons between methods
             stay paired exactly as the paper's tables require.
         config: Focus hyper-parameters; keyed by content digest.
-        quantized: Run on the INT8-quantized model with activation
-            rounding (Table IV's int8 arms).
+        quantized: Run on the INT8 variant of the model, which rounds
+            its weights and GEMM-site activations (Table IV's int8
+            arms).
         kind: Executor kind; ``eval`` is the standard cell or sample
             span.
         extra: Kind-specific parameters as a tuple of ``(name, value)``

@@ -68,7 +68,8 @@ def merge_samples(
 ) -> EvalResult:
     """Fold sample results (in sample order) into ``cell``'s result,
     labelled like :func:`repro.eval.runner.evaluate_samples` labels
-    it (INT8 arms carry an ``-int8`` suffix)."""
+    it: a ``quantized`` cell runs on the INT8 model variant, so its
+    method carries an ``-int8`` suffix."""
     method = f"{cell.method}-int8" if cell.quantized else cell.method
     return EvalResult.merge(
         sample_results, model=cell.model, dataset=cell.dataset,

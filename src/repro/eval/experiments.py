@@ -210,9 +210,10 @@ def plan_table4(
     """Reproduce Table IV: INT8 impact on accuracy and sparsity.
 
     The INT8 arms are ordinary jobs with ``quantized=True`` — the
-    runner swaps in the INT8-weight model and wraps each method plugin
-    in activation rounding, so they cache and parallelize like every
-    other cell.
+    runner loads the INT8 variant of the model, which rounds its own
+    weights and GEMM-site activations, and runs each method's own
+    plugin on it, so they cache and parallelize like every other
+    cell.
     """
     arms = (("dense", False), ("focus", False),
             ("dense", True), ("focus", True))

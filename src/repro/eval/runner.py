@@ -25,7 +25,7 @@ from repro.eval.metrics import EvalResult, computation_sparsity, dense_macs_for
 from repro.model.plugins import InferencePlugin
 from repro.model.vlm import SyntheticVLM
 from repro.model.zoo import get_model_config
-from repro.quant.int8 import Int8ActivationPlugin, quantize_model
+from repro.quant.int8 import quantize_model
 from repro.workloads.datasets import Sample, make_dataset_span
 
 PluginFactory = Callable[[SyntheticVLM, FocusConfig], InferencePlugin]
@@ -82,13 +82,16 @@ bounded memory, consistent with the other engine caches
 class ModelCache:
     """Constructs each synthetic model at most once per process.
 
-    Entries are keyed on ``(name, config digest)``, not the bare name:
-    if the registry entry behind a name ever changes (a test patching
-    :data:`repro.model.zoo.MODEL_CONFIGS`, two jobs in one batch
-    resolving the same name to different configs), the stale model is
-    simply not found and a fresh one is built — a shard worker can
-    never evaluate against a model constructed from a different config
-    than its job's key describes.
+    Entries are keyed on ``(name, config digest, quantized)``, not the
+    bare name: if the registry entry behind a name ever changes (a
+    test patching :data:`repro.model.zoo.MODEL_CONFIGS`, two jobs in
+    one batch resolving the same name to different configs), the stale
+    model is simply not found and a fresh one is built — a shard
+    worker can never evaluate against a model constructed from a
+    different config than its job's key describes.  The INT8 variant
+    (``quantized=True``) is built from the cached FP16 model by
+    :func:`~repro.quant.int8.quantize_model`; quantization is
+    deterministic, so it is as cacheable as the original.
 
     Access is serialized by a lock (the serving frontend evaluates
     concurrent runs on one process-wide cache) and the store is a
@@ -96,16 +99,17 @@ class ModelCache:
     entry rebuilt later is bit-identical — eviction only costs time.
     """
 
-    _models: OrderedDict[tuple[str, str], SyntheticVLM] = OrderedDict()
+    _models: OrderedDict[tuple[str, str, bool], SyntheticVLM] = OrderedDict()
     _lock = threading.Lock()
 
     @classmethod
-    def _key(cls, name: str) -> tuple[str, str]:
-        return (name, config_digest(get_model_config(name)))
-
-    @classmethod
-    def get(cls, name: str) -> SyntheticVLM:
-        key = cls._key(name)
+    def get(cls, name: str, quantized: bool = False) -> SyntheticVLM:
+        # The INT8 variant's FP16 source is fetched before the lock is
+        # taken (the lock is not re-entrant), and the variant is keyed
+        # on the config its source was built from.
+        source = cls.get(name) if quantized else None
+        config = source.config if source else get_model_config(name)
+        key = (name, config_digest(config), quantized)
         with cls._lock:
             model = cls._models.get(key)
             if model is not None:
@@ -115,38 +119,7 @@ class ModelCache:
             # in parallel would waste the exact work the cache exists
             # to avoid, and construction is fast relative to the
             # evaluations it serves.
-            model = SyntheticVLM(get_model_config(name))
-            cls._models[key] = model
-            while len(cls._models) > MODEL_CACHE_MAX_ENTRIES:
-                cls._models.popitem(last=False)
-            return model
-
-
-class QuantizedModelCache:
-    """INT8-quantized counterpart of :class:`ModelCache`.
-
-    Quantization is deterministic, so the quantized model is as
-    cacheable as the FP16 original; it shares the original's
-    :class:`~repro.model.spec.ModelConfig`, which keeps dense-MAC
-    accounting (and therefore sparsity) directly comparable.  Keyed on
-    ``(name, config digest)`` like :class:`ModelCache`, with the same
-    lock + LRU bound.  Lock order is always Quantized -> Model (this
-    cache calls into :class:`ModelCache`, never the reverse), so the
-    nesting cannot deadlock.
-    """
-
-    _models: OrderedDict[tuple[str, str], SyntheticVLM] = OrderedDict()
-    _lock = threading.Lock()
-
-    @classmethod
-    def get(cls, name: str) -> SyntheticVLM:
-        key = ModelCache._key(name)
-        with cls._lock:
-            model = cls._models.get(key)
-            if model is not None:
-                cls._models.move_to_end(key)
-                return model
-            model = quantize_model(ModelCache.get(name))
+            model = quantize_model(source) if source else SyntheticVLM(config)
             cls._models[key] = model
             while len(cls._models) > MODEL_CACHE_MAX_ENTRIES:
                 cls._models.popitem(last=False)
@@ -160,25 +133,23 @@ def evaluate_samples(
     config: FocusConfig = DEFAULT_CONFIG,
     model_name: str = "",
     dataset_name: str = "",
-    quantized: bool = False,
     forward_batch: int = 1,
 ) -> EvalResult:
     """Run one method over a list of samples.
 
-    With ``quantized=True`` the model is expected to carry INT8
-    weights and every method plugin is wrapped in
-    :class:`~repro.quant.int8.Int8ActivationPlugin`, reproducing the
-    Table IV INT8 arms for any registered method.  ``forward_batch``
-    caps the lanes per forward pass (see :func:`_forward_outcomes`).
+    On an INT8 variant (:attr:`SyntheticVLM.quantized
+    <repro.model.vlm.SyntheticVLM.quantized>`) the method's own plugin
+    runs on the INT8 datapath and the result's method carries an
+    ``-int8`` suffix: the Table IV INT8 arms, for any registered
+    method.  ``forward_batch`` caps the lanes per forward pass (see
+    :func:`_forward_outcomes`).
     """
     result = EvalResult(
         model=model_name or model.config.name,
         dataset=dataset_name,
-        method=f"{method}-int8" if quantized else method,
+        method=f"{method}-int8" if model.quantized else method,
     )
-    outcomes = _forward_outcomes(
-        model, samples, method, config, quantized, forward_batch
-    )
+    outcomes = _forward_outcomes(model, samples, method, config, forward_batch)
     for sample, outcome in zip(samples, outcomes):
         result.correct.append(outcome.correct)
         result.sparsities.append(
@@ -215,7 +186,6 @@ def _forward_outcomes(
     samples: list[Sample],
     method: str,
     config: FocusConfig,
-    quantized: bool,
     forward_batch: int,
 ) -> list:
     """Per-sample inference outcomes, in sample order.
@@ -226,11 +196,7 @@ def _forward_outcomes(
     lane at a time otherwise; each sample's outcome is bit-identical
     either way.
     """
-    def fresh_plugin() -> InferencePlugin:
-        plugin = make_plugin(method, model, config)
-        return Int8ActivationPlugin(plugin) if quantized else plugin
-
-    plugin = fresh_plugin()
+    plugin = make_plugin(method, model, config)
     lanes = forward_batch if plugin.stackable else 1
     outcomes: list = [None] * len(samples)
     passes = 0
@@ -239,7 +205,7 @@ def _forward_outcomes(
             if passes and not plugin.reusable:
                 # Stateful plugins get a fresh instance per pass;
                 # reusable ones are hoisted.
-                plugin = fresh_plugin()
+                plugin = make_plugin(method, model, config)
             passes += 1
             chunk = bucket[start:start + lanes]
             results = model.forward_batch([samples[i] for i in chunk], plugin)
@@ -269,16 +235,14 @@ def evaluate_span(
     :func:`evaluate`, for any span partition.
     """
     start, stop = span
-    model = ModelCache.get(model_name)
+    model = ModelCache.get(model_name, quantized)
     samples = make_dataset_span(
         dataset_name, model.config.layout, start, stop, seed=seed
     )
-    if quantized:
-        model = QuantizedModelCache.get(model_name)
     return evaluate_samples(
         model, samples, method, config,
         model_name=model_name, dataset_name=dataset_name,
-        quantized=quantized, forward_batch=forward_batch,
+        forward_batch=forward_batch,
     )
 
 

@@ -73,16 +73,14 @@ class InferencePlugin:
     heads and queries) for every lane at every layer.
     Importance-style plugins (FrameFusion) set this; computing the
     summary lazily keeps an O(heads x s^2) reduction off every other
-    method's hot path.  Wrapper plugins must delegate it to the plugin
-    they wrap."""
+    method's hot path."""
 
     reusable: bool = False
     """Whether one instance may drive many forward passes.  A plugin
     is reusable when it carries no cross-forward state (or resets it
     in :meth:`begin`); the evaluation loop then constructs it once per
     cell instead of once per sample.  Defaults to ``False`` so
-    stateful plugins stay correct by default; wrapper plugins must
-    delegate it to the plugin they wrap."""
+    stateful plugins stay correct by default."""
 
     stackable: bool = False
     """Whether the plugin keeps a stack of more than one lane in step.
@@ -91,8 +89,7 @@ class InferencePlugin:
     lane's observable outputs bit-identical to a one-lane pass of that
     sample.  Plugins whose per-lane hooks or keep counts depend on the
     data do not stack; the engine refuses to run them on more than one
-    lane, and the evaluation loop runs them one lane at a time.
-    Wrapper plugins must delegate it to the plugin they wrap."""
+    lane, and the evaluation loop runs them one lane at a time."""
 
     def begin(self, batch: "BatchState") -> None:
         """Called once before the first layer."""

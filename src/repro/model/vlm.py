@@ -23,6 +23,7 @@ from repro.model.functional import attention_scores, rms_norm, softmax
 from repro.model.plugins import DENSE_PLUGIN, DedupStats, InferencePlugin
 from repro.model.spec import ModelConfig
 from repro.model.weights import LayerWeights, build_all_weights
+from repro.quant.int8 import fake_quant_int8
 from repro.utils.fp import quantize_fp16
 from repro.workloads.datasets import Sample
 
@@ -164,6 +165,12 @@ class BatchState:
 
 class SyntheticVLM:
     """A constructed-weight VLM with pluggable concentration hooks."""
+
+    quantized: bool = False
+    """Whether this is the INT8 variant
+    (:func:`~repro.quant.int8.quantize_model`): its weights are INT8
+    rounded, and every concentrated GEMM's input is rounded per token
+    before the plugin sees it."""
 
     def __init__(self, config: ModelConfig) -> None:
         self.config = config
@@ -378,7 +385,14 @@ class SyntheticVLM:
         k: int,
         n: int,
     ) -> tuple[np.ndarray, list[GemmTrace]]:
-        """Apply the plugin's input gather; record per-lane GEMM traces."""
+        """Apply the plugin's input gather; record per-lane GEMM traces.
+
+        The INT8 variant rounds the stacked input per token first, so
+        the similarity matcher compares the values the INT8 datapath
+        would; the per-row scale keeps lanes independent.
+        """
+        if self.quantized:
+            x = fake_quant_int8(x, axis=-1)
         x, stats_list = plugin.gemm_input(
             layer_index, site, x, batch, producers, n
         )

@@ -2,21 +2,27 @@
 
 The paper integrates Focus with bitsandbytes-style INT8 inference.  We
 emulate it with absmax fake-quantization: weights are quantized
-per-output-channel once, activations per-token at every GEMM input.
-Values are rounded through the INT8 grid and dequantized, so the rest
-of the NumPy pipeline (and the similarity matcher, whose thresholds
-the quantization perturbs) sees exactly the precision the hardware
-would.
+per-output-channel once, by :func:`quantize_model`, and activations
+per-token at every GEMM input.  The INT8 arm is a model variant, not a
+method: the quantized :class:`~repro.model.vlm.SyntheticVLM` rounds
+the inputs of its qkv, o_proj and fc1 GEMMs itself, before the
+method's plugin sees them, so any method runs on the INT8 datapath
+with its own plugin.  Values are rounded through the INT8 grid and
+dequantized, so the rest of the NumPy pipeline (and the similarity
+matcher, whose thresholds the quantization perturbs) sees exactly the
+precision the hardware would.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.model.plugins import DedupStats, InferencePlugin
-from repro.model.vlm import BatchState, SyntheticVLM, TokenState
+if TYPE_CHECKING:  # pragma: no cover - repro.model.vlm imports this module
+    from repro.model.vlm import SyntheticVLM
 
 INT8_LEVELS = 127
 """Symmetric signed INT8 grid."""
@@ -43,85 +49,23 @@ def fake_quant_int8(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def quantize_model(model: SyntheticVLM) -> SyntheticVLM:
-    """Return a copy of the model with INT8-rounded weights.
+    """Return the INT8 variant of ``model``.
 
     Each projection matrix is quantized per output channel, the
-    standard absmax scheme of bitsandbytes' LLM.int8 path.
+    standard absmax scheme of bitsandbytes' LLM.int8 path, and the
+    copy is marked :attr:`~repro.model.vlm.SyntheticVLM.quantized`, so
+    its forward passes round GEMM-site activations per token.  The
+    copy shares the original's config, which keeps dense-MAC
+    accounting (and therefore sparsity) directly comparable; no
+    weights are built twice.
     """
-    quantized = SyntheticVLM(model.config)
-    quantized.layers = []
-    for weights in model.layers:
-        clone = copy.copy(weights)
-        clone = type(weights)(
-            wq=fake_quant_int8(weights.wq, axis=0),
-            wk=fake_quant_int8(weights.wk, axis=0),
-            wv=fake_quant_int8(weights.wv, axis=0),
-            wo=fake_quant_int8(weights.wo, axis=0),
-            w_fc1=fake_quant_int8(weights.w_fc1, axis=0),
-            w_fc2=fake_quant_int8(weights.w_fc2, axis=0),
-        )
-        quantized.layers.append(clone)
+    quantized = copy.copy(model)
+    quantized.quantized = True
+    quantized.layers = [
+        dataclasses.replace(weights, **{
+            field.name: fake_quant_int8(getattr(weights, field.name), axis=0)
+            for field in dataclasses.fields(weights)
+        })
+        for weights in model.layers
+    ]
     return quantized
-
-
-class Int8ActivationPlugin(InferencePlugin):
-    """Wrap another plugin with per-token INT8 activation rounding.
-
-    Activations are quantized *before* the wrapped plugin's gather so
-    the similarity matcher operates on the values the INT8 datapath
-    would actually compare — the interaction Table IV measures.  The
-    absmax scale is per row (last axis), so quantizing a stack equals
-    quantizing each lane alone.
-    """
-
-    def __init__(self, inner: InferencePlugin | None = None) -> None:
-        self.inner = inner or InferencePlugin()
-
-    @property
-    def needs_attention_summary(self) -> bool:  # type: ignore[override]
-        """Delegated: the wrapped plugin decides whether the engine
-        must compute per-key attention summaries."""
-        return self.inner.needs_attention_summary
-
-    @property
-    def reusable(self) -> bool:  # type: ignore[override]
-        """Delegated: the wrapper itself is stateless, so reuse is
-        exactly as safe as the wrapped plugin's reuse."""
-        return self.inner.reusable
-
-    @property
-    def stackable(self) -> bool:  # type: ignore[override]
-        """Delegated: per-row rounding keeps lanes independent, so the
-        wrapped plugin decides whether lanes stay in step."""
-        return self.inner.stackable
-
-    def begin(self, batch: BatchState) -> None:
-        self.inner.begin(batch)
-
-    def on_visual_tokens(self, state: TokenState) -> None:
-        self.inner.on_visual_tokens(state)
-
-    def before_layer(self, layer_index: int, state: TokenState) -> None:
-        self.inner.before_layer(layer_index, state)
-
-    def gemm_input(
-        self,
-        layer_index: int,
-        site: str,
-        x: np.ndarray,
-        batch: BatchState,
-        producers,
-        n: int,
-    ) -> tuple[np.ndarray, list[DedupStats | None]]:
-        quantized = fake_quant_int8(x, axis=-1)
-        return self.inner.gemm_input(
-            layer_index, site, quantized, batch, producers, n
-        )
-
-    def after_attention_probs(
-        self, layer_index: int, probs: np.ndarray, batch: BatchState
-    ) -> list[np.ndarray] | None:
-        return self.inner.after_attention_probs(layer_index, probs, batch)
-
-    def finish(self, batch: BatchState) -> None:
-        self.inner.finish(batch)

@@ -32,13 +32,11 @@ from repro.engine import EvalJob, ExperimentEngine
 from repro.eval.runner import (
     METHOD_REGISTRY,
     ModelCache,
-    QuantizedModelCache,
     bucket_samples,
     evaluate,
     evaluate_samples,
     make_plugin,
 )
-from repro.quant.int8 import Int8ActivationPlugin
 from repro.workloads.datasets import make_dataset_span
 
 
@@ -260,16 +258,12 @@ class TestEvalParity:
     ARMS = (("focus", False), ("focus", True))
 
     def _eval(self, method, quantized, batch, samples=None):
-        model = (
-            QuantizedModelCache.get(MODEL) if quantized
-            else ModelCache.get(MODEL)
-        )
+        model = ModelCache.get(MODEL, quantized=quantized)
         if samples is None:
             samples = _ragged_samples(model)
         return evaluate_samples(
             model, samples, method, model_name=MODEL,
-            dataset_name="ragged", quantized=quantized,
-            forward_batch=batch,
+            dataset_name="ragged", forward_batch=batch,
         )
 
     @pytest.mark.parametrize("method,quantized", ARMS)
@@ -285,14 +279,11 @@ class TestEvalParity:
     def test_unsupported_method_falls_back_to_serial(self):
         # dense could stack but runs faster one lane at a time, so its
         # plugin does not declare it on purpose.
-        model = ModelCache.get(MODEL)
         for method, quantized in (
             ("framefusion", False), ("dense", False), ("dense", True),
         ):
-            plugin = make_plugin(method, model)
-            if quantized:
-                plugin = Int8ActivationPlugin(plugin)
-            assert plugin.stackable is False
+            model = ModelCache.get(MODEL, quantized=quantized)
+            assert make_plugin(method, model).stackable is False
             serial = self._eval(method, quantized, 1)
             batched = self._eval(method, quantized, 4)
             assert batched == serial, method
@@ -310,19 +301,24 @@ class TestStacking:
 
     STACKABLE = {"focus", "focus-sec", "focus-sic", "focus-token"}
 
-    def test_declarations(self, tiny_model):
+    def test_declarations(self):
+        # An INT8 arm runs its method's own plugin on the INT8 model
+        # variant, so it stacks exactly when its FP16 arm does.
+        fp16 = ModelCache.get(MODEL)
+        int8 = ModelCache.get(MODEL, quantized=True)
         for method in METHOD_REGISTRY:
-            plugin = make_plugin(method, tiny_model)
+            plugin = make_plugin(method, fp16)
+            int8_plugin = make_plugin(method, int8)
             expected = method in self.STACKABLE
             assert plugin.stackable is expected, method
-            assert Int8ActivationPlugin(plugin).stackable is expected
+            assert type(int8_plugin) is type(plugin), method
+            assert int8_plugin.stackable is expected, method
 
     @pytest.mark.parametrize("make", [
         lambda model: FrameFusionPlugin(model.config),
         lambda model: AdaptiveFocusPlugin(model),
-        lambda model: Int8ActivationPlugin(FrameFusionPlugin(model.config)),
         lambda model: None,
-    ], ids=["framefusion", "focus-topp", "framefusion-int8", "dense"])
+    ], ids=["framefusion", "focus-topp", "dense"])
     def test_more_than_one_lane_refused(self, tiny_model, tiny_sample, make):
         plugin = make(tiny_model)
         with pytest.raises(ValueError, match="does not stack"):
@@ -423,14 +419,3 @@ class TestPluginReusability:
         assert CMCPlugin.reusable is True
         assert FrameFusionPlugin.reusable is True
         assert FocusPlugin.reusable is True
-
-    def test_int8_wrapper_delegates(self):
-        from repro.baselines.dense import DensePlugin
-        from repro.model.plugins import InferencePlugin
-        from repro.quant.int8 import Int8ActivationPlugin
-
-        class Stateful(InferencePlugin):
-            reusable = False
-
-        assert Int8ActivationPlugin(DensePlugin()).reusable is True
-        assert Int8ActivationPlugin(Stateful()).reusable is False

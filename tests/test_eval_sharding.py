@@ -33,7 +33,7 @@ from repro.eval.eval_shards import (
     span_job,
 )
 from repro.eval.metrics import EvalResult
-from repro.eval.runner import ModelCache, QuantizedModelCache, evaluate
+from repro.eval.runner import ModelCache, evaluate
 
 MODEL = "llava-video"
 DATASET = "vqav2"  # smallest profile: keeps the parity matrix fast
@@ -432,30 +432,37 @@ class TestEvalShardProgress:
 
 
 class TestModelCacheKeying:
-    """Model caches key on (name, config digest), not the bare name."""
+    """The model cache keys on (name, config digest, quantized), not
+    the bare name."""
 
     def test_config_change_is_not_served_stale(self):
         from repro.model.zoo import MODEL_CONFIGS
 
         original = MODEL_CONFIGS[MODEL]
-        before = ModelCache.get(MODEL)
+        variants = (False, True)
+        before = {q: ModelCache.get(MODEL, quantized=q) for q in variants}
         try:
             MODEL_CONFIGS[MODEL] = dataclasses.replace(original, seed=999)
-            patched = ModelCache.get(MODEL)
-            assert patched is not before
-            assert patched.config.seed == 999
-            patched_quant = QuantizedModelCache.get(MODEL)
-            assert patched_quant.config.seed == 999
+            for quantized in variants:
+                patched = ModelCache.get(MODEL, quantized=quantized)
+                assert patched is not before[quantized]
+                assert patched.config.seed == 999
+                assert patched.quantized is quantized
         finally:
             MODEL_CONFIGS[MODEL] = original
-        # Restoring the config restores the cached instance.
-        assert ModelCache.get(MODEL) is before
+        # Restoring the config restores the cached instances.
+        for quantized in variants:
+            assert ModelCache.get(MODEL, quantized=quantized) \
+                is before[quantized]
 
     def test_same_config_still_cached_once(self):
-        assert ModelCache.get(MODEL) is ModelCache.get(MODEL)
-        assert QuantizedModelCache.get(MODEL) is QuantizedModelCache.get(
-            MODEL
-        )
+        fp16 = ModelCache.get(MODEL)
+        int8 = ModelCache.get(MODEL, quantized=True)
+        assert ModelCache.get(MODEL) is fp16
+        assert ModelCache.get(MODEL, quantized=True) is int8
+        assert int8 is not fp16
+        assert int8.quantized and not fp16.quantized
+        assert int8.config is fp16.config
 
 
 @pytest.mark.slow

@@ -26,8 +26,7 @@ from repro.core.matching import (
 )
 from repro.eval.runner import ModelCache, make_plugin
 from repro.model.functional import causal_mask
-from repro.model.plugins import DENSE_PLUGIN, InferencePlugin
-from repro.quant.int8 import Int8ActivationPlugin
+from repro.model.plugins import InferencePlugin
 from repro.workloads.datasets import make_dataset_span
 
 
@@ -357,10 +356,3 @@ class TestLazyAttentionSummary:
         tiny_model.forward(tiny_sample, probe)
         assert Probe.saw is True
         assert plugin.needs_attention_summary is True
-
-    def test_int8_wrapper_delegates_flag(self, tiny_model):
-        assert Int8ActivationPlugin(
-            FrameFusionPlugin(tiny_model.config)
-        ).needs_attention_summary is True
-        assert Int8ActivationPlugin(DENSE_PLUGIN) \
-            .needs_attention_summary is False

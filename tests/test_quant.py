@@ -6,13 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.baselines.dense import DensePlugin
 from repro.core.pipeline import FocusPlugin
-from repro.quant.int8 import (
-    INT8_LEVELS,
-    Int8ActivationPlugin,
-    fake_quant_int8,
-    quantize_model,
-)
+from repro.model import vlm
+from repro.quant.int8 import INT8_LEVELS, fake_quant_int8, quantize_model
 
 
 class TestFakeQuant:
@@ -77,40 +74,57 @@ class TestQuantizeModel:
         before = tiny_model.layers[0].wq.copy()
         quantize_model(tiny_model)
         np.testing.assert_array_equal(tiny_model.layers[0].wq, before)
+        assert tiny_model.quantized is False
 
     def test_accuracy_survives_int8(self, tiny_model, tiny_samples):
         quantized = quantize_model(tiny_model)
-        fp16 = [tiny_model.forward(s).correct for s in tiny_samples]
-        int8 = [
-            quantized.forward(s, Int8ActivationPlugin()).correct
-            for s in tiny_samples
-        ]
+        assert quantized.quantized is True
+        fp16 = [tiny_model.forward(s, DensePlugin()).correct
+                for s in tiny_samples]
+        int8 = [quantized.forward(s, DensePlugin()).correct
+                for s in tiny_samples]
         assert sum(int8) >= sum(fp16) - 1
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_rounding_sites(self, tiny_model, tiny_sample, monkeypatch,
+                            quantized):
+        # The INT8 variant rounds the qkv, o_proj and fc1 inputs of
+        # every layer, once each per forward; fc2, qk and pv stay
+        # unrounded, and the FP16 model rounds nothing.
+        model = quantize_model(tiny_model) if quantized else tiny_model
+        calls = []
+
+        def counting(x, axis=-1):
+            calls.append(axis)
+            return fake_quant_int8(x, axis=axis)
+
+        monkeypatch.setattr(vlm, "fake_quant_int8", counting)
+        model.forward(tiny_sample, DensePlugin())
+        expected = 3 * tiny_model.config.num_layers if quantized else 0
+        assert calls == [-1] * expected
 
 
 class TestInt8Plugin:
+    """A method's own plugin on the INT8 model variant."""
+
     def test_wraps_focus(self, tiny_model, tiny_sample, tiny_focus_config):
-        inner = FocusPlugin(tiny_model, tiny_focus_config)
-        plugin = Int8ActivationPlugin(inner)
-        result = tiny_model.forward(tiny_sample, plugin)
+        quantized = quantize_model(tiny_model)
+        plugin = FocusPlugin(quantized, tiny_focus_config)
+        result = quantized.forward(tiny_sample, plugin)
         assert result.trace.sec_events
         gathered = [g for g in result.trace.gemms
                     if g.input_unique is not None]
         assert gathered
 
-    def test_default_inner_is_dense(self, tiny_model, tiny_sample):
-        result = tiny_model.forward(tiny_sample, Int8ActivationPlugin())
-        assert not result.trace.sec_events
-
     def test_quantization_changes_gather_slightly(self, tiny_model,
                                                   tiny_sample,
                                                   tiny_focus_config):
+        quantized = quantize_model(tiny_model)
         fp = tiny_model.forward(
             tiny_sample, FocusPlugin(tiny_model, tiny_focus_config)
         )
-        q8 = tiny_model.forward(
-            tiny_sample,
-            Int8ActivationPlugin(FocusPlugin(tiny_model, tiny_focus_config)),
+        q8 = quantized.forward(
+            tiny_sample, FocusPlugin(quantized, tiny_focus_config)
         )
         fp_unique = sum(g.input_unique or 0 for g in fp.trace.gemms)
         q8_unique = sum(g.input_unique or 0 for g in q8.trace.gemms)
