@@ -638,12 +638,13 @@ def main(argv: list[str] | None = None) -> int:
     peer_note = (
         f", {stats.remote_jobs} on peers" if stats.remote_jobs else ""
     )
+    joined_note = f", {stats.joined} joined" if stats.joined else ""
     print(
         f"[{', '.join(names)} done in {time.time() - start:.1f}s | "
         f"jobs: {stats.jobs_submitted} submitted, "
         f"{stats.jobs_deduped} deduped, {stats.cache_hits} cached "
         f"({', '.join(tier_bits)}), {stats.executed} executed"
-        f"{peer_note}{fault_note} | workers={engine.workers}]"
+        f"{joined_note}{peer_note}{fault_note} | workers={engine.workers}]"
     )
     if failures:
         print(

@@ -27,7 +27,10 @@ records instead of raising, and the retry lifecycle streams as
 The engine is safe to drive from several threads at once — the async
 serving layer (:mod:`repro.serve`) runs many concurrent
 :meth:`ExperimentEngine.run` batches against one engine and one
-:class:`~repro.engine.cache.ResultCache`.  Every emitted
+:class:`~repro.engine.cache.ResultCache`.  Concurrent batches that
+share a unit execute it once: an engine-wide in-flight table makes
+every later batch a *waiter* on the batch already executing it (see
+:meth:`ExperimentEngine.run`).  Every emitted
 :class:`ProgressEvent` carries an engine-wide monotonic sequence
 number; per-batch callbacks are passed to :meth:`run` itself, while
 :meth:`subscribe` attaches engine-wide observers that see the
@@ -92,8 +95,11 @@ class ProgressEvent:
             (``parent``, ``shards_done``, ``shards_total``,
             ``samples``, ``accuracy``, ``sparsity`` — see
             :meth:`repro.eval.eval_shards.ShardProgress.update`);
-            for ``retrying`` the attempt counters, backoff, and
-            reason; for ``gave-up``/``quarantined`` the
+            for ``cache-hit`` the serving ``tier`` (``memory`` /
+            ``disk`` / ``remote``, or ``inflight`` for a unit taken
+            from another live batch that executed it); for
+            ``retrying`` the attempt counters, backoff, and reason;
+            for ``gave-up``/``quarantined`` the
             :meth:`~repro.engine.faults.JobFailure.as_detail` payload.
         seq: Engine-wide monotonic sequence number, assigned under the
             emit lock.  Events observed by any single callback are
@@ -132,7 +138,9 @@ class EngineStats(Counters):
     attempts reclaimed by killing the pool, ``pool_crashes`` pool
     teardowns forced by a worker crash, ``peer_failures`` peer batches
     that degraded to local execution, and ``failed`` / ``quarantined``
-    permanently failed and poisoned jobs.
+    permanently failed and poisoned jobs.  ``joined`` counts units a
+    batch took from another live batch that was executing them
+    (single-flight) instead of executing them again.
     """
 
     jobs_submitted: int = 0
@@ -140,6 +148,7 @@ class EngineStats(Counters):
     jobs_deduped: int = 0
     cache_hits: int = 0
     executed: int = 0
+    joined: int = 0
     remote_jobs: int = 0
     retries: int = 0
     timeouts: int = 0
@@ -172,6 +181,28 @@ class _JobState:
     tracebacks: list[str] = field(default_factory=list)
     not_before: float = 0.0  # monotonic clock gate for backoff
     deadline: float | None = None  # monotonic wall-clock budget
+
+
+class _Flight:
+    """One cache unit a live batch is executing.
+
+    Other batches that need the unit wait on ``done``; ``payload`` is
+    the result, or :data:`~repro.engine.cache.MISS` when the owner
+    released the unit without one (it failed, aborted or was
+    cancelled).
+    """
+
+    __slots__ = ("done", "payload")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.payload: Any = MISS
+
+
+Land = Callable[[EvalJob, Any, "str | None"], None]
+"""``land(job, payload, peer)``: an executor hands every unit it
+executed (``peer`` names the fleet peer that ran it) to
+:meth:`ExperimentEngine.run`'s single publish point."""
 
 
 class ExperimentEngine:
@@ -259,11 +290,12 @@ class ExperimentEngine:
             self.fleet = FleetDispatcher(peer_urls)
         self.stats = EngineStats()
         self._pool: ProcessPoolExecutor | None = None
-        # One reentrant lock guards the counters, the pool handle, and
-        # event emission, so concurrent run() threads (the async
-        # serving layer) stay consistent and sequence numbers stay
-        # monotonic per observer.
+        # One reentrant lock guards the counters, the pool handle, the
+        # in-flight table, and event emission, so concurrent run()
+        # threads (the async serving layer) stay consistent and
+        # sequence numbers stay monotonic per observer.
         self._lock = threading.RLock()
+        self._inflight: dict[EvalJob, _Flight] = {}
         self._seq = itertools.count(1)
         self._subscribers: dict[int, ProgressCallback] = {}
         self._subscriber_tokens = itertools.count(1)
@@ -405,8 +437,7 @@ class ExperimentEngine:
     def _run_serial(
         self, pending: list[_JobState], results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
+        on_done: Land, progress: ProgressCallback | None = None,
         on_error: str = "raise",
     ) -> None:
         for state in pending:
@@ -418,8 +449,7 @@ class ExperimentEngine:
     def _execute_serial_state(
         self, state: _JobState, results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None,
-        progress: ProgressCallback | None, on_error: str,
+        on_done: Land, progress: ProgressCallback | None, on_error: str,
     ) -> None:
         """Drive one job (possibly mid-retry, when the pool degraded
         to in-process execution) to completion or permanent failure."""
@@ -467,15 +497,7 @@ class ExperimentEngine:
                     time.sleep(delay)
                 continue
             self._note_executed(state.job)
-            self.cache.put(state.job, payload)
-            results[state.job] = payload
-            done = len(results) + len(failures)
-            self._emit(
-                "completed", state.job, done, total, start,
-                progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, done)
+            on_done(state.job, payload, None)
             return
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -541,8 +563,7 @@ class ExperimentEngine:
     def _run_pool(
         self, pending: list[_JobState], results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
+        on_done: Land, progress: ProgressCallback | None = None,
         on_error: str = "raise",
     ) -> None:
         """The resilient dispatch loop.
@@ -601,17 +622,6 @@ class ExperimentEngine:
                 progress=progress,
             )
 
-        def settle(state: _JobState, payload: Any) -> None:
-            self._note_executed(state.job)
-            self.cache.put(state.job, payload)
-            results[state.job] = payload
-            self._emit(
-                "completed", state.job, completed_count(), total, start,
-                progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, completed_count())
-
         def handle_error(state: _JobState, exc: BaseException) -> None:
             state.attempts += 1
             state.crash_attempts = 0
@@ -638,7 +648,8 @@ class ExperimentEngine:
             except Exception as exc:
                 handle_error(state, exc)
                 return False
-            settle(state, payload)
+            self._note_executed(state.job)
+            on_done(state.job, payload, None)
             return False
 
         def requeue_inflight(
@@ -876,8 +887,7 @@ class ExperimentEngine:
     def _run_local(
         self, pending: list[_JobState], results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
+        on_done: Land, progress: ProgressCallback | None = None,
         on_error: str = "raise",
     ) -> None:
         """Execute a share on this machine (serial or pool).
@@ -902,8 +912,7 @@ class ExperimentEngine:
     def _run_fleet(
         self, pending: list[_JobState], results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None = None,
-        progress: ProgressCallback | None = None,
+        on_done: Land, progress: ProgressCallback | None = None,
         on_error: str = "raise",
     ) -> None:
         """Partition the batch over the fleet and run shares
@@ -977,8 +986,7 @@ class ExperimentEngine:
         self, url: str, states: list[_JobState],
         results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Callable[[EvalJob, Any, int], None] | None,
-        progress: ProgressCallback | None,
+        on_done: Land, progress: ProgressCallback | None,
         requeued: list[_JobState], requeue_lock: threading.Lock,
     ) -> None:
         """Ship one peer's share and fold its results in."""
@@ -1050,15 +1058,7 @@ class ExperimentEngine:
                 continue
             with self._lock:
                 self.stats.remote_jobs += 1
-            self.cache.put(state.job, payload, publish=False)
-            results[state.job] = payload
-            done = completed_count()
-            self._emit(
-                "completed", state.job, done, total, start,
-                detail={"peer": url}, progress=progress,
-            )
-            if on_done is not None:
-                on_done(state.job, payload, done)
+            on_done(state.job, payload, url)
         if leftovers:
             requeue(leftovers, "peer-incomplete")
 
@@ -1085,6 +1085,26 @@ class ExperimentEngine:
         aborts its own batch — pending pool futures are cancelled and
         awaited — without touching the others, which is how the async
         serving layer implements cancellation.
+
+        Concurrent calls that share a cache unit (a job, or a sample
+        of a split cell) execute it once.  A batch first *claims*, in
+        one step, an entry in the engine-wide in-flight table for
+        every unit it may execute, or *joins* the entry of the live
+        batch that already holds it; it looks up and executes only
+        what it claimed.  A batch executes
+        everything it claimed before it waits on what it joined, so
+        two batches that share units in any order cannot deadlock.  A
+        joined unit lands with a ``cache-hit`` event of tier
+        ``inflight`` (counted in ``stats.joined``), never with
+        ``completed``.  The owner publishes each unit it executed —
+        cache put, then release to its waiters — the moment it lands;
+        if it ends without a result (a permanent failure, a raise-mode
+        abort, a cancellation), it releases the unit empty, and a
+        waiter looks it up again and, if it must, executes it itself
+        under its own retry budget: one batch's failure is never
+        passed on to another.  The table is per engine: two processes
+        sharing a disk cache still both execute a unit they need at
+        the same time.
 
         ``on_error`` selects the failure mode once a job's retry
         budget (see ``retry_policy``) is exhausted: ``"raise"``
@@ -1141,6 +1161,8 @@ class ExperimentEngine:
         pending: list[EvalJob] = []
         folds = CellFolds(self.forward_batch)
         classified: set[EvalJob] = set()
+        owned: dict[EvalJob, _Flight] = {}
+        joined: dict[EvalJob, _Flight] = {}
 
         def hit(job: EvalJob) -> bool:
             classified.add(job)
@@ -1153,53 +1175,106 @@ class ExperimentEngine:
             hits.append((job, tier))
             return True
 
-        for job in ordered:
-            if job in classified or hit(job):
-                continue  # scheduled as an earlier cell's unit, or cached
+        def release(unit: EvalJob, payload: Any = MISS) -> None:
+            flight = owned.pop(unit, None)
+            if flight is None:
+                return  # not this batch's to release
+            flight.payload = payload
+            with self._lock:
+                del self._inflight[unit]
+            flight.done.set()
+
+        def release_all() -> None:
+            for unit in list(owned):
+                release(unit)
+
+        def claim(units: Iterable[EvalJob]) -> None:
+            # One step under the lock, so that of two batches needing
+            # the same units the first to get here owns them all and
+            # the other only waits: ownership is not split between
+            # them unless their units differ.
+            with self._lock:
+                for unit in units:
+                    flight = self._inflight.get(unit)
+                    if flight is None:
+                        self._inflight[unit] = owned[unit] = _Flight()
+                    else:
+                        joined[unit] = flight
+
+        def take(unit: EvalJob) -> bool:
+            """True if this batch must execute ``unit``: it claimed it
+            and the unit missed the cache."""
+            classified.add(unit)
+            if unit not in owned:
+                return False  # joined
+            # The lookup follows the claim: an owner puts a unit before
+            # it releases it, so a unit released before the claim is
+            # found here.
+            if hit(unit):
+                release(unit, results[unit])
+                return False
+            return True
+
+        def classify(job: EvalJob) -> None:
+            if not cell_samples(job):  # runs whole: a unit itself
+                if take(job):
+                    pending.append(job)
+                return
+            if hit(job):
+                return
             samples = folds.split(job)
-            if not samples:
-                pending.append(job)
-                continue
-            missing = [
-                sample for sample in samples
-                if sample not in classified and not hit(sample)
-            ]
-            for unit in folds.chunks(job, missing):
+            mine = [s for s in samples if s not in classified and take(s)]
+            for unit in folds.chunks(job, mine):
                 # A chunk equal to an earlier submitted job that was
                 # cached lands with the hits instead.
                 if unit not in results:
                     classified.add(unit)
                     pending.append(unit)
 
-        # Splitting changes the batch's unit count, so the total is only
-        # known now; cache-hit events are emitted after classification.
-        total = len(hits) + len(pending)
-
-        def land(job: EvalJob, payload: Any, completed: int) -> None:
+        def publish(
+            job: EvalJob, payload: Any, action: str, completed: int,
+            detail: Any = None,
+        ) -> None:
+            # Every landed unit (executed, cached or joined): cache the
+            # samples a chunk carries, hand the unit to the batches
+            # that joined it, then stream it.
+            records = folds.records(job, payload)
+            for sample, record in records:
+                if sample != job:  # split out of a chunk
+                    self.cache.put(sample, record)
+            release(job, payload)
+            for sample, record in records:
+                release(sample, record)
+            self._emit(
+                action, job, completed, total, start, detail=detail,
+                progress=progress,
+            )
             # Under the engine lock: fleet peer threads land units
             # concurrently with the local share, and the cells' running
             # tallies must not race.
             with self._lock:
-                landed = folds.land(job, payload)
-                for sample, _, details in landed:
-                    for detail in details:
+                for sample, details in folds.land(records):
+                    for shard in details:
                         self._emit(
                             "eval-shard-done", sample, completed, total,
-                            start, detail=detail, progress=progress,
+                            start, detail=shard, progress=progress,
                         )
-            for sample, record, _ in landed:
-                if sample != job:  # split out of a chunk
-                    self.cache.put(sample, record)
 
-        for done, (job, tier) in enumerate(hits, start=1):
-            self._emit(
-                "cache-hit", job, done, total, start,
-                detail={"tier": tier}, progress=progress,
+        def land(job: EvalJob, payload: Any, peer: str | None) -> None:
+            # The one publish point of an executed unit (every executor
+            # reaches it); a peer already published its result remotely.
+            results[job] = payload
+            if folds.cacheable(job):
+                self.cache.put(job, payload, publish=peer is None)
+            publish(
+                job, payload, "completed", len(results) + len(failures),
+                detail=None if peer is None else {"peer": peer},
             )
-            land(job, results[job], done)
 
-        if pending:
-            states = [_JobState(job=job) for job in pending]
+        def execute(units: list[EvalJob]) -> None:
+            if not units:
+                return
+            states = [_JobState(job=unit) for unit in units]
             if self.fleet is not None and self.fleet.peers:
                 self._run_fleet(
                     states, results, failures, total, start, land,
@@ -1210,6 +1285,66 @@ class ExperimentEngine:
                     states, results, failures, total, start, land,
                     progress, on_error,
                 )
+
+        try:
+            claim(dict.fromkeys(
+                unit for job in ordered
+                for unit in cell_samples(job) or (job,)
+            ))
+            for job in ordered:
+                if job not in classified:  # else an earlier cell's unit
+                    classify(job)
+            # The samples of cells served whole by the cache are not
+            # needed after all.
+            for unit in [u for u in owned if u not in classified]:
+                release(unit)
+            for unit in [u for u in joined if u not in classified]:
+                del joined[unit]
+            # Splitting changes the batch's unit count, so the total is
+            # only known now; cache-hit events follow classification.
+            total = len(hits) + len(pending) + len(joined)
+            for done, (job, tier) in enumerate(hits, start=1):
+                publish(
+                    job, results[job], "cache-hit", done,
+                    detail={"tier": tier},
+                )
+            execute(pending)
+        finally:
+            release_all()  # whatever did not land: failed or aborted
+
+        # Only now, holding nothing, wait on the units other batches
+        # are executing.  One released empty is claimed again (or
+        # joined again, or found in the cache) and executed here.
+        while joined:
+            waits = list(joined.items())
+            joined.clear()
+            hits.clear()
+            again = []
+            for unit, flight in waits:
+                flight.done.wait()
+                if flight.payload is MISS:
+                    again.append(unit)
+                    continue
+                with self._lock:
+                    self.stats.joined += 1
+                results[unit] = flight.payload
+                publish(
+                    unit, flight.payload, "cache-hit",
+                    len(results) + len(failures),
+                    detail={"tier": "inflight"},
+                )
+            try:
+                claim(again)
+                mine = [unit for unit in again if take(unit)]
+                for job, tier in hits:
+                    publish(
+                        job, results[job], "cache-hit",
+                        len(results) + len(failures),
+                        detail={"tier": tier},
+                    )
+                execute(mine)
+            finally:
+                release_all()
 
         for cell, outcome in folds.fold(results, failures):
             if isinstance(outcome, JobFailure):

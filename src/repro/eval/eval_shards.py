@@ -162,40 +162,46 @@ class CellFolds:
                 units.append(unit)
         return units
 
-    def land(
-        self, job: EvalJob, payload: EvalResult
-    ) -> list[tuple[EvalJob, EvalResult, list[dict[str, object]]]]:
-        """Record a finished or cached job's samples.
+    def cacheable(self, job: EvalJob) -> bool:
+        """Whether an executed ``job`` is cached under its own key.
 
-        Returns ``(sample, record, details)`` for each sample of a split
-        cell that ``job`` carries: ``record`` is the sample's own
-        result (split out of a chunk) and ``details`` the
-        ``eval-shard-done`` payload of every cell holding the sample.
+        Not a chunk that starts past sample 0: cells start at 0, so no
+        lookup ever asks for it, and its samples are cached one by one.
         """
+        return job not in self.carried or span_start(job) == 0
+
+    def records(
+        self, job: EvalJob, payload: EvalResult
+    ) -> list[tuple[EvalJob, EvalResult]]:
+        """The samples of split cells that a finished or cached ``job``
+        carries, each with its own result (split out of a chunk)."""
         samples = self.carried.get(job)
         if samples is None:
-            samples = (job,) if job in self.parents else ()
-            records = [payload]
-        else:
-            records = [
-                EvalResult(
-                    model=payload.model, dataset=payload.dataset,
-                    method=payload.method, correct=[c], sparsities=[s],
-                    traces=[t], dense_macs=[d],
-                )
-                for c, s, t, d in zip(
-                    payload.correct, payload.sparsities, payload.traces,
-                    payload.dense_macs,
-                )
-            ]
+            return [(job, payload)] if job in self.parents else []
+        return [
+            (sample, EvalResult(
+                model=payload.model, dataset=payload.dataset,
+                method=payload.method, correct=[c], sparsities=[s],
+                traces=[t], dense_macs=[d],
+            ))
+            for sample, c, s, t, d in zip(
+                samples, payload.correct, payload.sparsities,
+                payload.traces, payload.dense_macs,
+            )
+        ]
+
+    def land(
+        self, records: Sequence[tuple[EvalJob, EvalResult]]
+    ) -> list[tuple[EvalJob, list[dict[str, object]]]]:
+        """Record landed samples (from :meth:`records`); return each
+        with the ``eval-shard-done`` payload of every cell holding it."""
         landed = []
-        for sample, record in zip(samples, records):
+        for sample, record in records:
             self.landed[sample] = record
-            details = [
+            landed.append((sample, [
                 self.progress[cell].update(cell, record)
                 for cell in self.parents[sample]
-            ]
-            landed.append((sample, record, details))
+            ]))
         return landed
 
     def fold(

@@ -32,18 +32,24 @@ lifecycle ``retrying`` / ``gave-up`` / ``quarantined``), the encoded
 ``job`` (kind, model, dataset, method, sample count, seed, config
 digest, quantized flag, extras, content address, human label), the
 batch counters ``completed`` / ``total``, ``elapsed_s``, and the
-action-specific ``detail`` payload (for ``eval-shard-done``, a landed
-sample's cell's running accuracy/sparsity; for the fault actions, the
-retry counters or the structured :class:`~repro.engine.faults.
-JobFailure` record).  All payloads are pre-flattened to JSON-native
-types (tuples to lists, NumPy scalars to Python numbers) so
-``json.dumps`` round-trips them losslessly.
+action-specific ``detail`` payload (for ``cache-hit``, the serving
+``tier``: ``memory`` / ``disk`` / ``remote``, or ``inflight`` when
+the unit was taken from another live run that executed it — such a
+unit never gets a ``completed`` event in this run; for
+``eval-shard-done``, a landed sample's cell's running
+accuracy/sparsity; for the fault actions, the retry counters or the
+structured :class:`~repro.engine.faults.JobFailure` record).  All
+payloads are pre-flattened to JSON-native types (tuples to lists,
+NumPy scalars to Python numbers) so ``json.dumps`` round-trips them
+losslessly.
 
 Schema history: v1 had neither the fault-action progress events nor
 ``run-partial``; v2 added both.  Later, still within v2, ``run-done``
 and ``run-partial`` gained the *optional* ``cache`` field (the run's
 cache activity split by serving tier: ``memory`` / ``disk`` /
-``remote`` hits plus totals) — purely additive fields never bump the
+``remote`` hits plus totals, and ``joined``, the run's ``inflight``
+hits, when non-zero); the ``inflight`` tier is likewise a new value of
+an existing field.  Purely additive fields and values never bump the
 schema, and consumers must tolerate their absence.  :func:`parse_event`
 accepts any schema up to its own version, so v1 streams stored by
 older builds still replay.

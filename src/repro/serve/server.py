@@ -17,9 +17,10 @@ their live event streams out to any number of clients:
     with the run id and the events/result URLs.  All runs share one
     :class:`~repro.engine.scheduler.ExperimentEngine` and one
     :class:`~repro.engine.cache.ResultCache`: a spec overlapping any
-    *finished* run is served from the cache; runs launched
-    concurrently may each execute shared jobs (dedupe is per
-    schedule, the cache joins completed ones).
+    *finished* run is served from the cache, and one overlapping a
+    *live* run waits for that run's shared jobs instead of executing
+    them again (single-flight, ``cache-hit`` events of tier
+    ``inflight``).
 ``GET /runs/{id}/events``
     The run's event stream as Server-Sent Events (or JSON lines with
     ``?format=jsonl``).  Events replay from a per-run ring buffer, so
@@ -232,6 +233,7 @@ class Run:
     started: float = field(default_factory=time.monotonic)
     pump: asyncio.Task | None = None
     cache_before: Any = None  # CacheStats snapshot at launch
+    joined: int = 0  # units taken from another live run (single-flight)
     # Subscriber fan-out counters (event-stream connections).
     subscribers_active: int = 0
     subscribers_total: int = 0
@@ -326,6 +328,11 @@ class ServeApp:
         """Single consumer of the run's event stream; feeds the log."""
         try:
             async for event in run.handle.events():
+                if (
+                    event.action == "cache-hit"
+                    and event.detail["tier"] == "inflight"
+                ):
+                    run.joined += 1
                 await run.log.append(codec.encode_progress(event))
             results = await run.handle.result()
         except (RunCancelled, asyncio.CancelledError):
@@ -375,7 +382,9 @@ class ServeApp:
         Concurrent runs share one cache, so overlapping runs' deltas
         overlap too — the field reports what the cache did *while the
         run was live*, which for the common serial-usage case is
-        exactly the run's own traffic.
+        exactly the run's own traffic.  ``joined`` (present only when
+        non-zero) is the run's own count of units it took from another
+        live run instead of executing them.
         """
         if run.cache_before is None:
             return None
@@ -386,6 +395,8 @@ class ServeApp:
         tiers["hits"] = delta.hits
         tiers["misses"] = delta.misses
         tiers["remote_stores"] = delta.remote_stores
+        if run.joined:
+            tiers["joined"] = run.joined
         return tiers
 
     def _persist_outcome(self, run: Run) -> None:

@@ -365,6 +365,21 @@ class TestShardedParity:
         assert one_lane.cache.stats.disk_hits == 4
         assert result == evaluate(MODEL, DATASET, "focus", 5, 0)
 
+    def test_chunks_past_sample_zero_are_not_cached(self, tmp_path):
+        # Cells start at sample 0, so no lookup asks for the chunk
+        # [2, 4); its samples are cached one by one.  The chunk [0, 2)
+        # is the two-sample cell and is cached.
+        job = EvalJob(model=MODEL, dataset=DATASET, method="focus",
+                      num_samples=4, seed=0)
+        engine = ExperimentEngine(
+            forward_batch=2, cache=ResultCache(cache_dir=tmp_path)
+        )
+        engine.run([job])
+        expected = [job, span_job(job, 0, 2), *cell_samples(job)]
+        assert sorted(p.stem for p in tmp_path.glob("*.pkl")) == sorted(
+            unit.job_id for unit in expected
+        )
+
 
 @pytest.mark.slow
 class TestEvalShardProgress:

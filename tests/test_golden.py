@@ -5,7 +5,10 @@
 --seed 0``, and ``table2 table4 --samples 2 --seed 0``, whose cells
 have two samples each, so a stacked run puts two lanes in one pass.
 The default run also pins its schedule: 103 executed jobs, no split
-cells at one sample per cell, and 103 disk-cache entries.
+cells at one sample per cell, and 103 disk-cache entries.  The second
+entry is also checked under execution knobs: ``--forward-batch 2``
+(two-lane stacks) and ``--workers 1`` (the in-process executor instead
+of the default pool).
 A refactor that changes any report's bytes fails here; refresh the
 ledger only for an intended change, with
 ``scripts/refresh_golden.py --reason TEXT``.
@@ -77,4 +80,15 @@ def test_two_lane_stacks_match_golden_digests(tmp_path):
     reports = _run_reports(
         [*golden["argv"], "--forward-batch", "2"], tmp_path
     )
+    assert reports == golden["reports"]
+
+
+@pytest.mark.slow
+def test_in_process_run_matches_golden_digests(tmp_path):
+    # The ledger holds the default pool run; the in-process executor
+    # must reproduce it bit for bit.
+    golden = _ledger_entry(
+        ["table2", "table4", "--samples", "2", "--seed", "0"]
+    )
+    reports = _run_reports([*golden["argv"], "--workers", "1"], tmp_path)
     assert reports == golden["reports"]
