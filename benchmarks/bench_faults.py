@@ -28,6 +28,7 @@ from repro.engine import (
     RetryPolicy,
     install_fault_plan,
 )
+from repro.eval.eval_shards import cell_samples
 from repro.eval.experiments import plan_table2
 
 from conftest import bench_samples
@@ -35,10 +36,12 @@ from conftest import bench_samples
 WORKERS = 2
 MAX_OVERHEAD_RATIO = 1.15
 
-# One worker hard-kill on the cmc cell's first attempt, plus a
-# flaky-twice framefusion cell: together they exercise pool respawn,
-# cohort re-dispatch, and the retry/backoff path in a single run.
-FAULT_SPEC = "eval:cmc:*@1:kill; eval:framefusion:*@2:raise"
+# One worker hard-kill on the first attempt of the cmc cell's sample
+# 0, plus a flaky-twice framefusion sample 0: together they exercise
+# pool respawn, cohort re-dispatch, and the retry/backoff path in a
+# single run.  Cells execute per sample, and sample i > 0 labels as
+# ``...:s0:start=i``, so ``*:s0`` picks sample 0 alone.
+FAULT_SPEC = "eval:cmc:*:s0@1:kill; eval:framefusion:*:s0@2:raise"
 
 RETRY_POLICY = RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0)
 
@@ -49,6 +52,12 @@ def _jobs(samples):
         num_samples=samples,
     )
     return sorted(set(plan.jobs), key=lambda job: job.job_id)
+
+
+def _units(jobs):
+    """Jobs the engine executes for ``jobs`` on a cold cache: one per
+    sample of a multi-sample cell, else one per job."""
+    return sum(len(cell_samples(job)) or 1 for job in jobs)
 
 
 def _engine(cache_dir=None):
@@ -74,7 +83,7 @@ def test_fault_recovery_overhead_and_reexecution(results_dir, tmp_path):
     install_fault_plan(None)
     baseline_engine = _engine()
     baseline, fault_free_wall = _timed_run(baseline_engine, jobs)
-    assert baseline_engine.stats.executed == len(jobs)
+    assert baseline_engine.stats.executed == _units(jobs)
 
     # -- faulted run: one worker kill + one flaky-twice job -----------
     install_fault_plan(FAULT_SPEC)
@@ -110,7 +119,7 @@ def test_fault_recovery_overhead_and_reexecution(results_dir, tmp_path):
     ]
     seed_engine = _engine(cache_dir)
     seed_engine.run(untouched)
-    assert seed_engine.stats.executed == len(untouched)
+    assert seed_engine.stats.executed == _units(untouched)
 
     install_fault_plan(FAULT_SPEC)
     try:
@@ -118,7 +127,7 @@ def test_fault_recovery_overhead_and_reexecution(results_dir, tmp_path):
         partial_results, _ = _timed_run(partial_engine, jobs)
     finally:
         install_fault_plan(None)
-    expected_fresh = len(jobs) - len(untouched)
+    expected_fresh = _units(jobs) - _units(untouched)
     redundant = partial_engine.stats.executed - expected_fresh
     assert redundant == 0, (
         f"faulted run re-executed {redundant} already-cached job(s)"

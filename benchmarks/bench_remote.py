@@ -24,6 +24,7 @@ import json
 import time
 
 from repro.engine import ExperimentEngine, ResultCache
+from repro.eval.eval_shards import cell_samples
 from repro.eval.experiments import plan_table2
 from repro.remote import protocol
 from repro.remote.cache_server import BackgroundCacheServer
@@ -42,16 +43,24 @@ def _jobs(samples):
     return sorted(set(plan.jobs), key=lambda job: job.job_id)
 
 
+def _units(jobs):
+    """Jobs the engine executes for ``jobs`` on a cold cache: one per
+    sample of a multi-sample cell, else one per job."""
+    return sum(len(cell_samples(job)) or 1 for job in jobs)
+
+
 def _timed_run(engine, jobs):
     start = time.perf_counter()
     results = engine.run(list(jobs))
     return results, time.perf_counter() - start
 
 
-def _canonical(results):
+def _canonical(results, jobs):
+    # A cold run also returns the sample jobs it executed; a warm one
+    # only the cells it hit.  Compare the cells.
     return protocol.encode_payload(sorted(
-        (job.job_id, protocol.encode_payload(payload))
-        for job, payload in results.items()
+        (job.job_id, protocol.encode_payload(results[job]))
+        for job in jobs
     ))
 
 
@@ -70,7 +79,7 @@ def test_remote_cache_dedup_and_overhead(results_dir, tmp_path):
         cache=ResultCache(cache_dir=tmp_path / "disk-only")
     )
     disk_results, disk_wall = _timed_run(disk_engine, jobs)
-    assert disk_engine.stats.executed == len(jobs)
+    assert disk_engine.stats.executed == _units(jobs)
     disk_engine.close()
 
     with BackgroundCacheServer(tmp_path / "store") as server:
@@ -80,10 +89,13 @@ def test_remote_cache_dedup_and_overhead(results_dir, tmp_path):
             remote=RemoteCacheClient(server.url),
         ))
         results_a, remote_cold_wall = _timed_run(host_a, jobs)
-        assert host_a.stats.executed == len(jobs)
+        assert host_a.stats.executed == _units(jobs)
         host_a.close()  # drains the write-behind publish queue
         stats_a = host_a.cache.stats.as_dict()
-        assert stats_a["remote_stores"] == len(jobs)
+        # Every executed sample, and every cell folded from them.
+        assert stats_a["remote_stores"] == len(jobs) + sum(
+            len(cell_samples(job)) for job in jobs
+        )
 
         # -- host B: empty local cache, same remote -------------------
         host_b = ExperimentEngine(cache=ResultCache(
@@ -102,8 +114,8 @@ def test_remote_cache_dedup_and_overhead(results_dir, tmp_path):
     )
     assert stats_b["remote_hits"] == len(jobs)
     assert stats_b["remote_verify_failures"] == 0
-    assert _canonical(results_b) == _canonical(results_a)
-    assert _canonical(results_b) == _canonical(disk_results)
+    assert _canonical(results_b, jobs) == _canonical(results_a, jobs)
+    assert _canonical(results_b, jobs) == _canonical(disk_results, jobs)
 
     # Gate 2: the remote tier's cold-run overhead is bounded.
     overhead = remote_cold_wall / disk_wall

@@ -3,8 +3,11 @@
 :class:`ExperimentEngine` takes a batch of :class:`~repro.engine.jobs.
 EvalJob` objects — possibly collected from *several* experiments —
 collapses duplicates by key, serves what it can from the result cache,
-and runs the remainder either in-process (``workers=1``) or on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Progress events
+and runs the remainder through one dispatch loop
+(:meth:`ExperimentEngine._execute`).  The loop's local executor runs
+jobs in-process (``workers=1``) or on a
+:class:`~concurrent.futures.ProcessPoolExecutor`; fleet peers, when
+configured, each take a share as one more future.  Progress events
 (``cache-hit`` / ``started`` / ``completed``, over every job kind the
 batch schedules: ``eval``, ``fig2b``, …) stream to an optional
 callback as jobs finish.  An ``eval`` cell of several samples is a
@@ -12,13 +15,15 @@ fold of per-sample jobs (:mod:`repro.eval.eval_shards`): its samples
 execute, dedupe, and cache individually and stream
 ``eval-shard-done`` partial results as they land.
 
-Execution is fault tolerant (see :mod:`repro.engine.faults`): a
+Execution is fault tolerant (see :mod:`repro.engine.faults`), with
+one retry/settle state machine for every executor: a
 :class:`~repro.engine.faults.RetryPolicy` re-dispatches failed
 attempts with deterministic backoff, per-job wall-clock timeouts
-reclaim hung workers, and a worker crash (``BrokenProcessPool``) no
+reclaim hung pool workers, a worker crash (``BrokenProcessPool``) no
 longer aborts the batch — the pool is respawned and only the in-flight
 cohort is re-dispatched, one job at a time so a repeat crash indicts
-exactly one job, which is then quarantined as *poisoned*.  In
+exactly one job, which is then quarantined as *poisoned* — and the
+jobs a peer does not deliver rejoin the local queue without penalty.  In
 partial-results mode (``run(..., on_error="collect")``) permanently
 failed jobs map to structured :class:`~repro.engine.faults.JobFailure`
 records instead of raising, and the retry lifecycle streams as
@@ -50,7 +55,12 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -62,6 +72,7 @@ from repro.engine.faults import (
     DEFAULT_RETRY_POLICY,
     JobFailure,
     JobTimeout,
+    PeerUnreachable,
     PoisonedJob,
     RetryPolicy,
     run_job_attempt,
@@ -133,14 +144,15 @@ class EngineStats(Counters):
     criterion "a warm-cache re-run performs zero new ``evaluate()``
     calls" is checked against it — a job executed by a fleet peer
     counts in ``remote_jobs`` instead, never in ``executed``.
-    ``retries`` counts re-dispatches of any flavor (failed attempt,
-    timeout, crash cohort, unreachable peer), ``timeouts`` hung
-    attempts reclaimed by killing the pool, ``pool_crashes`` pool
-    teardowns forced by a worker crash, ``peer_failures`` peer batches
-    that degraded to local execution, and ``failed`` / ``quarantined``
-    permanently failed and poisoned jobs.  ``joined`` counts units a
-    batch took from another live batch that was executing them
-    (single-flight) instead of executing them again.
+    ``retries`` counts local re-dispatches (failed attempt, timeout,
+    crash cohort), ``timeouts`` hung attempts reclaimed by killing
+    the pool, ``pool_crashes`` pool teardowns forced by a worker
+    crash, ``peer_failures`` peer batches that were requeued, whole
+    or in part, for local execution (their jobs' ``retrying`` events
+    carry the ``peer`` and count no retry), and ``failed`` /
+    ``quarantined`` permanently failed and poisoned jobs.  ``joined``
+    counts units a batch took from another live batch that was
+    executing them (single-flight) instead of executing them again.
     """
 
     jobs_submitted: int = 0
@@ -160,7 +172,7 @@ class EngineStats(Counters):
     executed_by_kind: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class _JobState:
     """One pending job's scheduling state across attempts.
 
@@ -200,19 +212,63 @@ class _Flight:
 
 
 Land = Callable[[EvalJob, Any, "str | None"], None]
-"""``land(job, payload, peer)``: an executor hands every unit it
+"""``land(job, payload, peer)``: the dispatch loop hands every unit it
 executed (``peer`` names the fleet peer that ran it) to
 :meth:`ExperimentEngine.run`'s single publish point."""
+
+
+class _InlineExecutor:
+    """The in-process executor: ``submit`` runs the call in the calling
+    thread and returns an already-complete future."""
+
+    @staticmethod
+    def submit(
+        fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _InlineExecutor()
+
+
+def _peer_payload(entry: Any) -> Any:
+    """The payload a peer's result entry delivers, or ``MISS``.
+
+    A missing entry, a job-level failure and bytes that fail their
+    digest all miss: local execution is the authoritative fallback for
+    each (it reproduces failures with the coordinator's own retry
+    policy and records).
+    """
+    from repro.remote import protocol
+
+    if not (
+        isinstance(entry, tuple) and len(entry) == 3 and entry[0] == "ok"
+        and protocol.payload_digest(entry[2]) == entry[1]
+    ):
+        return MISS
+    try:
+        return protocol.decode_payload(entry[2])
+    except Exception:
+        return MISS
 
 
 class ExperimentEngine:
     """Schedules deduplicated job batches over a cache and worker pool.
 
     Args:
-        workers: Process-pool size; ``1`` executes in-process (still
-            through the cache) under the environment's BLAS threading,
-            while every pool worker runs one BLAS thread
-            (:func:`repro.engine.blas.pin_worker`).
+        workers: Chooses the local executor.  ``1`` runs every job
+            inline, in the calling thread (still through the cache),
+            under the environment's BLAS threading; more runs them on
+            a process pool of that size, one job per worker at a
+            time, whatever the batch size, and every pool worker runs
+            one BLAS thread (:func:`repro.engine.blas.pin_worker`).
+            If the pool cannot be (re)built, the batch finishes
+            inline.
         cache: Result cache; defaults to a fresh memory-only cache.
         progress: Optional streaming callback invoked from the
             scheduling process as jobs hit the cache, start, and
@@ -223,12 +279,13 @@ class ExperimentEngine:
             exception retries, but worker-crash recovery and the
             poison-quarantine threshold stay active.
         job_timeout_s: Per-job wall-clock budget, measured from
-            dispatch (the CLI's ``--job-timeout``).  Enforced on the
-            worker pool: a hung attempt is reclaimed by tearing the
-            pool down (running futures cannot be cancelled), innocent
-            in-flight jobs are re-dispatched without penalty, and the
-            timed-out job is retried or failed per the retry policy.
-            ``None`` (default) disables the budget.
+            dispatch (the CLI's ``--job-timeout``).  Enforced only by
+            the worker pool (an inline attempt cannot be interrupted):
+            a hung attempt is reclaimed by tearing the pool down
+            (running futures cannot be cancelled), innocent in-flight
+            jobs are re-dispatched without penalty, and the timed-out
+            job is retried or failed per the retry policy.  ``None``
+            (default) disables the budget.
         forward_batch: Lanes per forward pass (the CLI's
             ``--forward-batch``; default 1).  Handed to every job's
             execution and the most samples one executed chunk of a
@@ -240,15 +297,17 @@ class ExperimentEngine:
             ``repro serve`` processes exposing ``POST /jobs``.  Each
             batch is partitioned by rendezvous hashing on job id over
             peers + the local engine (see :mod:`repro.remote.
-            dispatch`), remote shares execute concurrently with the
-            local one, and an unreachable peer's share is requeued for
-            local execution without penalty — a fleet of any size
-            degrades gracefully to, and stays bit-identical with,
-            local-only execution.
+            dispatch`), each peer share ships as one request that
+            runs concurrently with the local share, and whatever a
+            peer does not deliver rejoins the local queue without
+            penalty as soon as its answer (or failure) is in — a
+            fleet of any size degrades gracefully to, and stays
+            bit-identical with, local-only execution.
 
-    The process pool is created lazily on the first parallel batch and
-    reused across :meth:`run` calls — a server that runs many small
-    batches pays the pool spawn cost once, not per batch.
+    The process pool is created lazily on the first batch that
+    executes anything locally and reused across :meth:`run` calls — a
+    server that runs many small batches pays the pool spawn cost
+    once, not per batch.
     :meth:`close` (or the context-manager protocol) releases the
     workers; a closed engine recreates the pool on next use.
     """
@@ -434,72 +493,6 @@ class ExperimentEngine:
         if on_error == "raise":
             raise exc if exc is not None else PoisonedJob(failure)
 
-    def _run_serial(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
-        for state in pending:
-            self._execute_serial_state(
-                state, results, failures, total, start,
-                on_done, progress, on_error,
-            )
-
-    def _execute_serial_state(
-        self, state: _JobState, results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None, on_error: str,
-    ) -> None:
-        """Drive one job (possibly mid-retry, when the pool degraded
-        to in-process execution) to completion or permanent failure."""
-        policy = self.retry_policy
-        while True:
-            if not state.started:
-                state.started = True
-                self._emit(
-                    "started", state.job, len(results) + len(failures),
-                    total, start, progress=progress,
-                )
-            state.dispatches += 1
-            try:
-                payload = run_job_attempt(
-                    state.job, state.dispatches, in_worker=False,
-                    forward_batch=self.forward_batch,
-                )
-            except Exception as exc:
-                state.attempts += 1
-                state.crash_attempts = 0
-                state.tracebacks.append(self._format_exception(exc))
-                kind = (
-                    "timeout" if isinstance(exc, JobTimeout) else "error"
-                )
-                if not policy.should_retry(exc, state.attempts):
-                    self._record_permanent(
-                        state, kind, exc, results, failures, total,
-                        start, progress, on_error,
-                    )
-                    return
-                delay = policy.delay_s(state.job, state.attempts)
-                self._note_retry()
-                self._emit(
-                    "retrying", state.job,
-                    len(results) + len(failures), total, start,
-                    detail={
-                        "attempt": state.attempts,
-                        "max_attempts": policy.max_attempts,
-                        "delay_s": delay,
-                        "reason": f"{type(exc).__name__}: {exc}",
-                    },
-                    progress=progress,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            self._note_executed(state.job)
-            on_done(state.job, payload, None)
-            return
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
@@ -509,12 +502,12 @@ class ExperimentEngine:
             return self._pool
 
     def _respawn_pool(self) -> ProcessPoolExecutor | None:
-        """(Re)build the pool; ``None`` means degrade to serial."""
+        """(Re)build the pool; ``None`` means degrade to inline."""
         try:
             return self._ensure_pool()
         except Exception:
             logger.warning(
-                "worker pool could not be rebuilt; degrading to serial "
+                "worker pool could not be rebuilt; degrading to inline "
                 "in-process execution", exc_info=True,
             )
             return None
@@ -560,87 +553,145 @@ class ExperimentEngine:
         if self.workers > 1:
             self._ensure_pool().submit(_warm_up_probe).result()
 
-    def _run_pool(
+    def _ship(self, url: str, jobs: list[EvalJob]) -> Future:
+        """Send one peer its share on a thread of its own; the future
+        resolves to the peer's result entries by job id."""
+        future: Future = Future()
+
+        def call() -> None:
+            try:
+                future.set_result(self.fleet.peer(url).execute(jobs))
+            except BaseException as exc:  # noqa: BLE001 — see result()
+                future.set_exception(exc)
+
+        threading.Thread(
+            target=call, name=f"repro-fleet-{url}", daemon=True
+        ).start()
+        return future
+
+    def _execute(
         self, pending: list[_JobState], results: dict[EvalJob, Any],
         failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None = None,
-        on_error: str = "raise",
+        land: Land, progress: ProgressCallback | None, on_error: str,
     ) -> None:
-        """The resilient dispatch loop.
+        """The dispatch loop: drive every pending job until it lands
+        or fails for good.
 
-        Jobs are dispatched through a bounded in-flight window of
-        ``workers`` futures (so dispatch ≈ start, which keeps per-job
-        deadlines honest and crash cohorts small), collected as they
-        finish, and retried per the engine's :class:`RetryPolicy`.
-        A worker crash tears the pool down and re-dispatches the
-        in-flight cohort through an *isolation* queue — one job at a
-        time — so a repeat crash indicts exactly one job; hung jobs
-        are reclaimed by terminating the pool and re-dispatching the
-        innocent bystanders without penalty.  If the pool cannot be
-        (re)built at all, the remaining jobs degrade to serial
-        in-process execution.
+        Fleet peers (if any) take their rendezvous share first, one
+        batch per peer on a thread of its own.  The rest queue in
+        ``ready`` for the local executor: the worker pool when
+        ``workers > 1`` (a window of ``workers`` futures, per-job
+        deadlines, crash cohorts), else — or once the pool cannot be
+        (re)built — the inline executor (window 1, runs in this
+        thread, no deadlines).  Every future is collected here, so
+        every unit lands, retries and fails on this thread:
+
+        * a failed attempt is charged and retried per the engine's
+          :class:`RetryPolicy`, after its backoff;
+        * a worker crash (``BrokenProcessPool``) tears the pool down
+          and re-dispatches the local in-flight cohort through the
+          ``isolation`` queue, one job alone in the pool at a time, so
+          a repeat crash indicts exactly one job;
+        * a hung job is reclaimed by terminating the pool; the other
+          local jobs in flight are re-dispatched without penalty;
+        * a peer share lands each verified entry with its ``peer``;
+          every other job of the share joins ``ready`` without penalty
+          (one ``peer_failures`` per share).
+
+        Pool events see only local futures: a peer share is never
+        cancelled, requeued or charged by them.  On abort (raise
+        mode, or a progress callback that raises) local futures are
+        cancelled and awaited; peer shares still out are abandoned,
+        and :meth:`run` releases their units empty.
         """
         policy = self.retry_policy
-        ready: deque[_JobState] = deque(pending)
+        ready: deque[_JobState] = deque()
         isolation: deque[_JobState] = deque()
-        inflight: dict[Any, _JobState] = {}
-        pool: ProcessPoolExecutor | None = None
+        inflight: dict[Future, _JobState] = {}  # local attempts
+        shares: dict[Future, tuple[str, list[_JobState]]] = {}
+        executor: Any = None  # the pool or _INLINE, built when needed
 
-        def completed_count() -> int:
-            return len(results) + len(failures)
+        def emit(action: str, state: _JobState, detail: Any = None) -> None:
+            self._emit(
+                action, state.job, len(results) + len(failures), total,
+                start, detail=detail, progress=progress,
+            )
 
-        def dispatch(state: _JobState) -> None:
+        def start_job(state: _JobState, detail: Any = None) -> None:
             if not state.started:
                 state.started = True
-                self._emit(
-                    "started", state.job, completed_count(), total,
-                    start, progress=progress,
-                )
-            future = pool.submit(
+                emit("started", state, detail)
+
+        def retrying(
+            state: _JobState, delay: float, reason: str,
+            peer: str | None = None,
+        ) -> None:
+            detail = {
+                "attempt": state.attempts,
+                "max_attempts": policy.max_attempts,
+                "delay_s": delay,
+                "reason": reason,
+            }
+            if peer is None:
+                self._note_retry()
+            else:  # a penalty-free requeue, counted in peer_failures
+                detail["peer"] = peer
+            emit("retrying", state, detail)
+
+        def fail(state: _JobState, kind: str, exc: Exception | None) -> None:
+            self._record_permanent(
+                state, kind, exc, results, failures, total, start,
+                progress, on_error,
+            )
+
+        def handle_error(
+            state: _JobState, exc: Exception, reason: str | None = None,
+            trace: str | None = None,
+        ) -> None:
+            state.attempts += 1
+            state.crash_attempts = 0
+            state.tracebacks.append(trace or self._format_exception(exc))
+            if not policy.should_retry(exc, state.attempts):
+                kind = "timeout" if isinstance(exc, JobTimeout) else "error"
+                fail(state, kind, exc)
+                return
+            delay = policy.delay_s(state.job, state.attempts)
+            state.not_before = time.monotonic() + delay
+            retrying(state, delay, reason or f"{type(exc).__name__}: {exc}")
+            ready.append(state)
+
+        def dispatch(state: _JobState) -> None:
+            start_job(state)
+            pooled = executor is not _INLINE
+            future = executor.submit(
                 run_job_attempt, state.job, state.dispatches + 1,
-                in_worker=True, forward_batch=self.forward_batch,
+                in_worker=pooled, forward_batch=self.forward_batch,
             )
             state.dispatches += 1
             state.deadline = (
                 time.monotonic() + self.job_timeout_s
-                if self.job_timeout_s is not None else None
+                if pooled and self.job_timeout_s is not None else None
             )
             inflight[future] = state
 
-        def emit_retrying(
-            state: _JobState, delay: float, reason: str
-        ) -> None:
-            self._note_retry()
-            self._emit(
-                "retrying", state.job, completed_count(), total, start,
-                detail={
-                    "attempt": state.attempts,
-                    "max_attempts": policy.max_attempts,
-                    "delay_s": delay,
-                    "reason": reason,
-                },
-                progress=progress,
-            )
+        def drop_local() -> list[_JobState]:
+            """Cancel every local attempt in flight; return its jobs."""
+            states = list(inflight.values())
+            for future in inflight:
+                future.cancel()
+            inflight.clear()
+            for state in states:
+                state.deadline = None
+            return states
 
-        def handle_error(state: _JobState, exc: BaseException) -> None:
-            state.attempts += 1
-            state.crash_attempts = 0
-            state.deadline = None
-            state.tracebacks.append(self._format_exception(exc))
-            kind = "timeout" if isinstance(exc, JobTimeout) else "error"
-            if not policy.should_retry(exc, state.attempts):
-                self._record_permanent(
-                    state, kind, exc, results, failures, total, start,
-                    progress, on_error,
-                )
-                return
-            delay = policy.delay_s(state.job, state.attempts)
-            state.not_before = time.monotonic() + delay
-            emit_retrying(state, delay, f"{type(exc).__name__}: {exc}")
-            ready.append(state)
+        def discard_pool(terminate: bool = False) -> None:
+            nonlocal executor
+            self._discard_pool(executor, terminate=terminate)
+            executor = None
 
-        def collect(future: Any, state: _JobState) -> bool:
-            """Fold one finished future in; True if the pool crashed."""
+        def collect(future: Future, state: _JobState) -> bool:
+            """Fold one finished local attempt in; True if the pool
+            crashed under it."""
             try:
                 payload = future.result()
             except BrokenProcessPool:
@@ -649,50 +700,125 @@ class ExperimentEngine:
                 handle_error(state, exc)
                 return False
             self._note_executed(state.job)
-            on_done(state.job, payload, None)
+            land(state.job, payload, None)
             return False
 
-        def requeue_inflight(
-            target: deque[_JobState], front: bool = True
-        ) -> None:
-            """Re-dispatch every in-flight job without penalty."""
-            states = list(inflight.values())
-            for future in list(inflight):
-                future.cancel()
-            inflight.clear()
-            for state in states:
+        def crash(cohort: list[_JobState]) -> None:
+            # A worker crash kills the whole pool: every local attempt
+            # still in flight died with it and joins the cohort.
+            self._note_pool_crash()
+            cohort += drop_local()
+            discard_pool()
+            if len(cohort) > 1:
+                # The culprit is unknown, so nobody is charged;
+                # re-dispatch one at a time so a repeat crash indicts
+                # exactly one job.
+                for state in cohort:
+                    retrying(state, 0.0, "worker-lost")
+                    isolation.append(state)
+                return
+            state, = cohort  # a singleton: attribution is exact
+            state.crash_attempts += 1
+            state.tracebacks.append(
+                "worker crashed (BrokenProcessPool) on "
+                f"dispatch {state.dispatches}"
+            )
+            if state.crash_attempts >= policy.max_crash_attempts:
+                fail(state, "poisoned", None)
+                return
+            delay = policy.delay_s(state.job, state.crash_attempts)
+            state.not_before = time.monotonic() + delay
+            retrying(state, delay, "worker-crash")
+            isolation.append(state)
+
+        def reclaim_hung() -> None:
+            now = time.monotonic()
+            hung: list[_JobState] = []
+            for future, state in list(inflight.items()):
+                if state.deadline is None or now < state.deadline:
+                    continue
+                del inflight[future]
                 state.deadline = None
-            if front:
-                for state in reversed(states):
-                    target.appendleft(state)
-            else:
-                target.extend(states)
+                if future.cancel():
+                    ready.appendleft(state)  # never started: no penalty
+                else:
+                    hung.append(state)
+            if not hung:
+                return
+            # A running future cannot be cancelled: reclaim the workers
+            # by terminating the pool, then re-dispatch the innocent
+            # local jobs without penalty.
+            with self._lock:
+                self.stats.timeouts += len(hung)
+            ready.extendleft(reversed(drop_local()))
+            discard_pool(terminate=True)
+            for state in hung:
+                exc = JobTimeout(
+                    f"{state.job.describe()} exceeded "
+                    f"{self.job_timeout_s:g}s wall clock "
+                    f"(attempt {state.attempts + 1})"
+                )
+                handle_error(
+                    state, exc, reason="timeout", trace=f"JobTimeout: {exc}"
+                )
+
+        def requeue(url: str, states: list[_JobState], reason: str) -> None:
+            # Penalty-free, like a crashed worker's cohort: the share
+            # counts one peer failure, not one retry per job — the jobs
+            # did nothing wrong.
+            with self._lock:
+                self.stats.peer_failures += 1
+            for state in states:
+                retrying(state, 0.0, reason, peer=url)
+            ready.extend(states)
+
+        def collect_share(future: Future) -> None:
+            url, states = shares.pop(future)
+            try:
+                entries = future.result()
+            except PeerUnreachable as exc:
+                requeue(url, states, f"peer-unreachable: {exc}")
+                return
+            leftovers = []
+            for state in states:
+                payload = _peer_payload(entries.get(state.job.job_id))
+                if payload is MISS:
+                    leftovers.append(state)
+                    continue
+                with self._lock:
+                    self.stats.remote_jobs += 1
+                land(state.job, payload, url)
+            if leftovers:
+                requeue(url, leftovers, "peer-incomplete")
+
+        local = pending
+        if self.fleet is not None and self.fleet.peers:
+            from repro.remote.dispatch import LOCAL_NODE
+
+            by_job = {state.job: state for state in pending}
+            placed = self.fleet.partition(by_job)
+            local = [by_job[job] for job in placed.pop(LOCAL_NODE, [])]
+            for url, jobs in placed.items():
+                states = [by_job[job] for job in jobs]
+                for state in states:
+                    start_job(state, {"peer": url})
+                shares[self._ship(url, jobs)] = (url, states)
+        ready.extend(local)
 
         try:
-            while ready or isolation or inflight:
-                if pool is None and (ready or isolation):
-                    pool = self._respawn_pool()
-                    if pool is None:
-                        # Graceful degradation: finish everything
-                        # serially, preserving per-job retry state.
-                        leftovers = list(isolation) + list(ready)
-                        isolation.clear()
-                        ready.clear()
-                        for state in leftovers:
-                            state.deadline = None
-                            self._execute_serial_state(
-                                state, results, failures, total, start,
-                                on_done, progress, on_error,
-                            )
-                        return
+            while ready or isolation or inflight or shares:
+                if executor is None and (ready or isolation):
+                    executor = (
+                        self._respawn_pool() if self.workers > 1 else None
+                    ) or _INLINE
 
-                # -- dispatch ---------------------------------------
+                # -- dispatch -------------------------------------------
                 now = time.monotonic()
                 gate: float | None = None  # earliest backoff release
                 try:
                     if isolation:
-                        # Crash-cohort attribution: dispatch exactly
-                        # one suspect at a time, alone in the pool.
+                        # Crash-cohort attribution: one suspect at a
+                        # time, alone in the pool.
                         if not inflight:
                             state = isolation[0]
                             if state.not_before <= now:
@@ -701,366 +827,67 @@ class ExperimentEngine:
                             else:
                                 gate = state.not_before
                     else:
-                        blocked: list[_JobState] = []
-                        try:
-                            while (
-                                ready
-                                and len(inflight) < self.workers
-                            ):
-                                state = ready[0]
-                                if state.not_before <= now:
-                                    dispatch(state)
-                                    ready.popleft()
-                                else:
-                                    blocked.append(ready.popleft())
-                                    if (
-                                        gate is None
-                                        or state.not_before < gate
-                                    ):
-                                        gate = state.not_before
-                        finally:
-                            for state in reversed(blocked):
-                                ready.appendleft(state)
+                        window = 1 if executor is _INLINE else self.workers
+                        due = [s for s in ready if s.not_before <= now]
+                        for state in due:
+                            if len(inflight) >= window:
+                                break
+                            dispatch(state)
+                            ready.remove(state)
+                        gate = min(
+                            (s.not_before for s in ready
+                             if s.not_before > now),
+                            default=None,
+                        )
                 except BrokenProcessPool:
                     # The pool broke while idle (a worker died between
-                    # batches): recycle it and re-dispatch in-flight
-                    # jobs without penalty.
+                    # batches): recycle it and re-dispatch the local
+                    # jobs in flight without penalty.
                     self._note_pool_crash()
-                    requeue_inflight(ready)
-                    self._discard_pool(pool)
-                    pool = None
+                    ready.extendleft(reversed(drop_local()))
+                    discard_pool()
                     continue
 
-                # -- wait -------------------------------------------
-                if not inflight:
-                    if gate is not None:
-                        pause = max(0.0, gate - time.monotonic())
-                        time.sleep(min(pause, 0.5))
-                    continue
-                timeout = None
-                if self.job_timeout_s is not None:
-                    nearest = min(
-                        (
-                            s.deadline for s in inflight.values()
-                            if s.deadline is not None
-                        ),
-                        default=None,
-                    )
-                    if nearest is not None:
-                        timeout = max(
-                            0.0, nearest - time.monotonic()
-                        )
+                # -- wait -----------------------------------------------
+                wakes = [
+                    s.deadline for s in inflight.values()
+                    if s.deadline is not None
+                ]
                 if gate is not None:
-                    pause = max(0.0, gate - time.monotonic())
-                    timeout = (
-                        pause if timeout is None
-                        else min(timeout, pause)
-                    )
+                    wakes.append(gate)
+                timeout = (
+                    max(0.0, min(wakes) - time.monotonic()) if wakes
+                    else None
+                )
+                if not inflight and not shares:
+                    time.sleep(timeout or 0.0)  # a backoff to wait out
+                    continue
                 done, _ = wait(
-                    set(inflight), timeout=timeout,
+                    [*inflight, *shares], timeout=timeout,
                     return_when=FIRST_COMPLETED,
                 )
 
-                # -- collect ----------------------------------------
+                # -- collect, in dispatch order -------------------------
                 crashed: list[_JobState] = []
-                for future in done:
+                for future in [f for f in inflight if f in done]:
                     state = inflight.pop(future)
+                    state.deadline = None
                     if collect(future, state):
                         crashed.append(state)
-
+                for future in [f for f in shares if f in done]:
+                    collect_share(future)
                 if crashed:
-                    # A worker crash kills the whole pool: everything
-                    # still in flight died with it and joins the
-                    # cohort.
-                    self._note_pool_crash()
-                    crashed.extend(inflight.values())
-                    for future in list(inflight):
-                        future.cancel()
-                    inflight.clear()
-                    self._discard_pool(pool)
-                    pool = None
-                    if len(crashed) == 1:
-                        # Singleton cohort: attribution is exact.
-                        state = crashed[0]
-                        state.deadline = None
-                        state.crash_attempts += 1
-                        state.tracebacks.append(
-                            "worker crashed (BrokenProcessPool) on "
-                            f"dispatch {state.dispatches}"
-                        )
-                        if (
-                            state.crash_attempts
-                            >= policy.max_crash_attempts
-                        ):
-                            self._record_permanent(
-                                state, "poisoned", None, results,
-                                failures, total, start, progress,
-                                on_error,
-                            )
-                        else:
-                            delay = policy.delay_s(
-                                state.job, state.crash_attempts
-                            )
-                            state.not_before = (
-                                time.monotonic() + delay
-                            )
-                            emit_retrying(state, delay, "worker-crash")
-                            isolation.append(state)
-                    else:
-                        # Cohort of several: the culprit is unknown,
-                        # so nobody is charged; re-dispatch one at a
-                        # time so a repeat crash indicts exactly one
-                        # job.
-                        for state in crashed:
-                            state.deadline = None
-                            emit_retrying(state, 0.0, "worker-lost")
-                            isolation.append(state)
-                    continue
-
-                # -- timeouts ---------------------------------------
-                if self.job_timeout_s is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (future, state)
-                        for future, state in inflight.items()
-                        if state.deadline is not None
-                        and now >= state.deadline
-                    ]
-                    hung: list[_JobState] = []
-                    for future, state in expired:
-                        if future.cancel():
-                            # Never started: back in line, no penalty.
-                            inflight.pop(future)
-                            state.deadline = None
-                            ready.appendleft(state)
-                            continue
-                        inflight.pop(future)
-                        hung.append(state)
-                    if hung:
-                        # A running future cannot be cancelled:
-                        # reclaim the workers by terminating the pool,
-                        # then re-dispatch the innocent in-flight jobs
-                        # without penalty.
-                        with self._lock:
-                            self.stats.timeouts += len(hung)
-                        requeue_inflight(ready)
-                        self._discard_pool(pool, terminate=True)
-                        pool = None
-                        for state in hung:
-                            state.attempts += 1
-                            state.crash_attempts = 0
-                            state.deadline = None
-                            exc = JobTimeout(
-                                f"{state.job.describe()} exceeded "
-                                f"{self.job_timeout_s:g}s wall clock "
-                                f"(attempt {state.attempts})"
-                            )
-                            state.tracebacks.append(
-                                f"JobTimeout: {exc}"
-                            )
-                            if policy.should_retry(
-                                exc, state.attempts
-                            ):
-                                delay = policy.delay_s(
-                                    state.job, state.attempts
-                                )
-                                state.not_before = (
-                                    time.monotonic() + delay
-                                )
-                                emit_retrying(state, delay, "timeout")
-                                ready.append(state)
-                            else:
-                                self._record_permanent(
-                                    state, "timeout", exc, results,
-                                    failures, total, start, progress,
-                                    on_error,
-                                )
+                    crash(crashed)
+                else:
+                    reclaim_hung()
         except BaseException:
-            # Quiesce the batch before propagating (what the old
-            # pool-per-run `with` block guaranteed): no orphan futures
-            # keep the persistent pool busy behind the caller's back.
+            # Quiesce the local executor before propagating: no orphan
+            # attempt keeps the persistent pool busy behind the
+            # caller's back.
             for future in inflight:
                 future.cancel()
-            wait(set(inflight))
+            wait(list(inflight))
             raise
-
-    def _run_local(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
-        """Execute a share on this machine (serial or pool).
-
-        A single pending job still goes through the pool when a
-        timeout is set — wall-clock budgets are unenforceable
-        in-process.
-        """
-        if self.workers == 1 or (
-            len(pending) == 1 and self.job_timeout_s is None
-        ):
-            self._run_serial(
-                pending, results, failures, total, start, on_done,
-                progress, on_error,
-            )
-        else:
-            self._run_pool(
-                pending, results, failures, total, start, on_done,
-                progress, on_error,
-            )
-
-    def _run_fleet(
-        self, pending: list[_JobState], results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None = None,
-        on_error: str = "raise",
-    ) -> None:
-        """Partition the batch over the fleet and run shares
-        concurrently.
-
-        Rendezvous hashing owns each job to a peer or the local
-        engine; peer shares ship as one ``POST /jobs`` batch each on
-        their own thread while the local share runs on this machine's
-        serial/pool path.  Any job a peer cannot deliver — the peer is
-        unreachable, an entry is missing, a digest fails verification,
-        or the peer reports a job-level failure — is requeued for
-        local execution *without penalty* (its retry budget is
-        untouched, exactly like a crashed worker's cohort), so the
-        fleet degrades to local-only and results stay bit-identical to
-        a serial run by construction.
-        """
-        from repro.remote.dispatch import LOCAL_NODE
-
-        by_job = {state.job: state for state in pending}
-        shares = self.fleet.partition(by_job)
-        local_states = [
-            by_job[job] for job in shares.pop(LOCAL_NODE, [])
-        ]
-        requeued: list[_JobState] = []
-        requeue_lock = threading.Lock()
-        errors: list[BaseException] = []
-
-        def run_share(url: str, jobs: list[EvalJob]) -> None:
-            states = [by_job[job] for job in jobs]
-            try:
-                self._run_peer_share(
-                    url, states, results, failures, total, start,
-                    on_done, progress, requeued, requeue_lock,
-                )
-            except BaseException as exc:  # noqa: BLE001 — re-raised
-                with requeue_lock:
-                    errors.append(exc)
-                    requeued.extend(
-                        state for state in states
-                        if state.job not in results
-                        and state.job not in failures
-                    )
-
-        threads = [
-            threading.Thread(
-                target=run_share, args=(url, jobs),
-                name=f"repro-fleet-{url}", daemon=True,
-            )
-            for url, jobs in shares.items()
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            if local_states:
-                self._run_local(
-                    local_states, results, failures, total, start,
-                    on_done, progress, on_error,
-                )
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        if requeued:
-            self._run_local(
-                requeued, results, failures, total, start, on_done,
-                progress, on_error,
-            )
-
-    def _run_peer_share(
-        self, url: str, states: list[_JobState],
-        results: dict[EvalJob, Any],
-        failures: dict[EvalJob, JobFailure], total: int, start: float,
-        on_done: Land, progress: ProgressCallback | None,
-        requeued: list[_JobState], requeue_lock: threading.Lock,
-    ) -> None:
-        """Ship one peer's share and fold its results in."""
-        from repro.engine.faults import PeerUnreachable
-        from repro.remote import protocol
-
-        def completed_count() -> int:
-            return len(results) + len(failures)
-
-        def requeue(
-            batch: list[_JobState], reason: str
-        ) -> None:
-            # Penalty-free, like a crashed worker's cohort: the batch
-            # counts one peer failure, not one retry per job — the
-            # jobs did nothing wrong.
-            with self._lock:
-                self.stats.peer_failures += 1
-            for state in batch:
-                self._emit(
-                    "retrying", state.job, completed_count(), total,
-                    start,
-                    detail={
-                        "attempt": state.attempts,
-                        "max_attempts": self.retry_policy.max_attempts,
-                        "delay_s": 0.0,
-                        "reason": reason,
-                        "peer": url,
-                    },
-                    progress=progress,
-                )
-            with requeue_lock:
-                requeued.extend(batch)
-
-        for state in states:
-            state.started = True
-            self._emit(
-                "started", state.job, completed_count(), total, start,
-                detail={"peer": url}, progress=progress,
-            )
-        try:
-            entries = self.fleet.peer(url).execute(
-                [state.job for state in states]
-            )
-        except PeerUnreachable as exc:
-            requeue(states, f"peer-unreachable: {exc}")
-            return
-
-        leftovers: list[_JobState] = []
-        for state in states:
-            entry = entries.get(state.job.job_id)
-            payload: Any = None
-            delivered = False
-            if (
-                isinstance(entry, tuple) and len(entry) == 3
-                and entry[0] == "ok"
-                and protocol.payload_digest(entry[2]) == entry[1]
-            ):
-                try:
-                    payload = protocol.decode_payload(entry[2])
-                    delivered = True
-                except Exception:
-                    delivered = False
-            if not delivered:
-                # Missing entry, job-level failure, or corrupt bytes:
-                # local execution is the authoritative fallback for
-                # all of them (it reproduces failures with the
-                # coordinator's own retry policy and records).
-                leftovers.append(state)
-                continue
-            with self._lock:
-                self.stats.remote_jobs += 1
-            on_done(state.job, payload, url)
-        if leftovers:
-            requeue(leftovers, "peer-incomplete")
 
     # -- public API --------------------------------------------------
 
@@ -1249,20 +1076,17 @@ class ExperimentEngine:
                 action, job, completed, total, start, detail=detail,
                 progress=progress,
             )
-            # Under the engine lock: fleet peer threads land units
-            # concurrently with the local share, and the cells' running
-            # tallies must not race.
-            with self._lock:
-                for sample, details in folds.land(records):
-                    for shard in details:
-                        self._emit(
-                            "eval-shard-done", sample, completed, total,
-                            start, detail=shard, progress=progress,
-                        )
+            for sample, details in folds.land(records):
+                for shard in details:
+                    self._emit(
+                        "eval-shard-done", sample, completed, total,
+                        start, detail=shard, progress=progress,
+                    )
 
         def land(job: EvalJob, payload: Any, peer: str | None) -> None:
-            # The one publish point of an executed unit (every executor
-            # reaches it); a peer already published its result remotely.
+            # The one publish point of an executed unit (the dispatch
+            # loop calls it for every executor); a peer already
+            # published its result remotely.
             results[job] = payload
             if folds.cacheable(job):
                 self.cache.put(job, payload, publish=peer is None)
@@ -1272,18 +1096,10 @@ class ExperimentEngine:
             )
 
         def execute(units: list[EvalJob]) -> None:
-            if not units:
-                return
-            states = [_JobState(job=unit) for unit in units]
-            if self.fleet is not None and self.fleet.peers:
-                self._run_fleet(
-                    states, results, failures, total, start, land,
-                    progress, on_error,
-                )
-            else:
-                self._run_local(
-                    states, results, failures, total, start, land,
-                    progress, on_error,
+            if units:
+                self._execute(
+                    [_JobState(job=unit) for unit in units], results,
+                    failures, total, start, land, progress, on_error,
                 )
 
         try:

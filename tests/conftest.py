@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import contextlib
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import FocusConfig
 from repro.core.matching import SimilarityMatcher
 from repro.model.embedding import Codebooks, SubspaceLayout
@@ -117,3 +124,64 @@ def tiny_focus_config() -> FocusConfig:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+class ServePeers:
+    """``repro serve --port 0 --no-store`` peer subprocesses of a test."""
+
+    def __init__(self) -> None:
+        self.env = dict(os.environ)
+        self.env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        self.procs: list[subprocess.Popen] = []
+
+    def start(self, *flags: str) -> tuple[subprocess.Popen, str]:
+        """Spawn a peer; return (process, base_url)."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--port", "0", "--no-store", *flags],
+            env=self.env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        self.procs.append(proc)
+        deadline = time.time() + 30
+        while time.time() < deadline:
+            line = proc.stderr.readline()
+            match = re.search(r"http://[\d.]+:\d+", line)
+            if match:
+                return proc, match.group(0)
+            if proc.poll() is not None:
+                break
+        self.stop(proc)
+        raise RuntimeError("peer never announced its address")
+
+    @staticmethod
+    def stop(proc: subprocess.Popen) -> None:
+        """Terminate a peer subprocess; never leak it or its pipes.
+
+        ``terminate`` first (clean asyncio shutdown), escalate to
+        ``kill`` if it doesn't exit within the grace period, and always
+        close the stdio pipes — a leaked pipe keeps the socket pair (and
+        on failure paths the whole process) alive past the test.
+        Stopping a stopped peer is a no-op.
+        """
+        try:
+            proc.terminate()
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=30)
+        finally:
+            for pipe in (proc.stdout, proc.stderr):
+                if pipe is not None:
+                    pipe.close()
+
+
+@pytest.fixture
+def serve_peers():
+    """A :class:`ServePeers`; every peer it started is stopped at
+    teardown."""
+    peers = ServePeers()
+    yield peers
+    for proc in peers.procs:
+        peers.stop(proc)

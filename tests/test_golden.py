@@ -7,8 +7,10 @@ have two samples each, so a stacked run puts two lanes in one pass.
 The default run also pins its schedule: 103 executed jobs, no split
 cells at one sample per cell, and 103 disk-cache entries.  The second
 entry is also checked under execution knobs: ``--forward-batch 2``
-(two-lane stacks) and ``--workers 1`` (the in-process executor instead
-of the default pool).
+(two-lane stacks), ``--workers 1`` (the inline executor instead of
+the default pool), a fault plan that makes the pool retry failed
+attempts and recover from worker crashes, and ``--peers`` with one
+live ``repro serve`` peer.
 A refactor that changes any report's bytes fails here; refresh the
 ledger only for an intended change, with
 ``scripts/refresh_golden.py --reason TEXT``.
@@ -24,6 +26,7 @@ import sys
 import pytest
 
 import repro
+from repro.engine.faults import FAULT_PLAN_ENV
 
 LEDGER = pathlib.Path(__file__).parent / "golden" / "report_digests.json"
 
@@ -35,9 +38,13 @@ def _ledger_entry(argv):
     raise LookupError(f"no ledger entry for {argv}")
 
 
-def _run_events(argv, tmp_path):
+TWO_SAMPLE = ["table2", "table4", "--samples", "2", "--seed", "0"]
+
+
+def _run_events(argv, tmp_path, **env_overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    env.update(env_overrides)
     jsonl = tmp_path / "progress.jsonl"
     subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv,
@@ -74,9 +81,7 @@ def test_default_run_matches_golden_digests(tmp_path):
 def test_two_lane_stacks_match_golden_digests(tmp_path):
     # The ledger holds the default (one-lane) run; two-lane stacks
     # must reproduce it bit for bit.
-    golden = _ledger_entry(
-        ["table2", "table4", "--samples", "2", "--seed", "0"]
-    )
+    golden = _ledger_entry(TWO_SAMPLE)
     reports = _run_reports(
         [*golden["argv"], "--forward-batch", "2"], tmp_path
     )
@@ -87,8 +92,38 @@ def test_two_lane_stacks_match_golden_digests(tmp_path):
 def test_in_process_run_matches_golden_digests(tmp_path):
     # The ledger holds the default pool run; the in-process executor
     # must reproduce it bit for bit.
-    golden = _ledger_entry(
-        ["table2", "table4", "--samples", "2", "--seed", "0"]
-    )
+    golden = _ledger_entry(TWO_SAMPLE)
     reports = _run_reports([*golden["argv"], "--workers", "1"], tmp_path)
     assert reports == golden["reports"]
+
+
+@pytest.mark.slow
+def test_fault_plan_run_matches_golden_digests(tmp_path):
+    # Every focus job fails its first attempt and every cmc job kills
+    # its pool worker; retries and crash recovery must not change a bit.
+    golden = _ledger_entry(TWO_SAMPLE)
+    events = _run_events(
+        [*golden["argv"], "--retries", "2"], tmp_path,
+        **{FAULT_PLAN_ENV: "eval:focus:*@1:raise; eval:cmc:*@1:kill"},
+    )
+    assert events[-1]["reports"] == golden["reports"]
+    reasons = [
+        event["detail"]["reason"] for event in events
+        if event.get("action") == "retrying"
+    ]
+    assert any("InjectedFault" in reason for reason in reasons)
+    assert {"worker-crash", "worker-lost"} & set(reasons)
+
+
+@pytest.mark.slow
+def test_fleet_peer_run_matches_golden_digests(tmp_path, serve_peers):
+    # One live peer executes its rendezvous share of the batch.
+    golden = _ledger_entry(TWO_SAMPLE)
+    _, url = serve_peers.start()
+    events = _run_events([*golden["argv"], "--peers", url], tmp_path)
+    assert events[-1]["reports"] == golden["reports"]
+    assert any(
+        event.get("action") == "completed"
+        and (event["detail"] or {}).get("peer") == url
+        for event in events
+    )

@@ -5,25 +5,22 @@ round-trips through the canonical pickle envelope byte-exactly, and
 any single-byte tamper is caught by the sha256 digest before the
 bytes can reach a ``pickle.loads``.  The socket suites run a real
 cache server (:class:`~repro.remote.cache_server.
-BackgroundCacheServer`) and a real ``repro serve`` peer (subprocess)
-to verify the acceptance property end to end: results are
-byte-identical for peer counts {0, 1, 2}, and a warm remote cache
-serves a second "host" with zero executions.
+BackgroundCacheServer`) and a real ``repro serve`` peer (subprocess):
+a warm remote cache serves a second "host" with zero executions, and
+a dead peer's share runs locally with identical results.  That a live
+peer leaves every report's bits unchanged is a golden-ledger arm
+(``tests/test_golden.py``).
 """
 
 import http.client
 import os
 import pathlib
-import re
-import subprocess
-import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.engine import MISS, EvalJob, ExperimentEngine, ResultCache
 from repro.engine.faults import PeerUnreachable
 from repro.remote import protocol
@@ -369,8 +366,10 @@ class TestFleetDispatch:
             client.execute([_job()])
         assert not client.healthy()
 
-    def test_engine_degrades_to_local_when_peer_is_dead(self):
-        fleet_engine = ExperimentEngine(peers=[DEAD_PEER])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_degrades_to_local_when_peer_is_dead(self, workers):
+        # At workers=2 the requeued share feeds the pool executor.
+        fleet_engine = ExperimentEngine(workers=workers, peers=[DEAD_PEER])
         solo_engine = ExperimentEngine()
         # Enough jobs that rendezvous deterministically owns some to
         # the (dead) peer.
@@ -395,51 +394,6 @@ class TestFleetDispatch:
         assert fleet_engine.stats.executed == len(jobs)
 
 
-def _stop_peer(proc):
-    """Terminate a peer subprocess; never leak it or its pipes.
-
-    ``terminate`` first (clean asyncio shutdown), escalate to ``kill``
-    if it doesn't exit within the grace period, and always close the
-    stdio pipes — a leaked pipe keeps the socket pair (and on failure
-    paths the whole process) alive past the test.
-    """
-    try:
-        proc.terminate()
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=30)
-    finally:
-        for pipe in (proc.stdout, proc.stderr):
-            if pipe is not None:
-                pipe.close()
-
-
-def _start_peer(env, *flags):
-    """Spawn a ``repro serve`` peer; return (process, base_url)."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--port", "0", "--no-store", *flags],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        deadline = time.time() + 30
-        while time.time() < deadline:
-            line = proc.stderr.readline()
-            match = re.search(r"http://[\d.]+:\d+", line)
-            if match:
-                return proc, match.group(0)
-            if proc.poll() is not None:
-                break
-    except BaseException:
-        _stop_peer(proc)
-        raise
-    _stop_peer(proc)
-    raise RuntimeError("peer never announced its address")
-
-
 def _children(pid):
     """Pids whose parent is ``pid`` (read from ``/proc``)."""
     children = []
@@ -456,57 +410,13 @@ def _children(pid):
 @pytest.mark.slow
 @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(),
                     reason="needs /proc")
-def test_terminated_peer_reaps_its_pool_workers():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
-    proc, _ = _start_peer(env, "--workers", "2")
-    try:
-        # The pool is forked before the server announces its address.
-        workers = _children(proc.pid)
-        assert workers
-    finally:
-        _stop_peer(proc)
+def test_terminated_peer_reaps_its_pool_workers(serve_peers):
+    proc, _ = serve_peers.start("--workers", "2")
+    # The pool is forked before the server announces its address.
+    workers = _children(proc.pid)
+    assert workers
+    serve_peers.stop(proc)
     assert proc.returncode == 0
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-
-
-@pytest.mark.slow
-class TestFleetParity:
-    def test_reports_identical_for_any_peer_count(self):
-        import os
-        import pathlib
-
-        import repro
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
-
-        def run(peers):
-            argv = [sys.executable, "-m", "repro.cli", "table2",
-                    "--samples", "1"]
-            if peers:
-                argv += ["--peers", ",".join(peers)]
-            out = subprocess.run(
-                argv, env=env, capture_output=True, text=True,
-                timeout=300,
-            )
-            assert out.returncode == 0, out.stderr
-            # Strip the timing-dependent summary line.
-            return out.stdout.rsplit("[table2", 1)[0]
-
-        peers, procs = [], []
-        try:
-            for _ in range(2):
-                proc, url = _start_peer(env)
-                procs.append(proc)
-                peers.append(url)
-            solo = run([])
-            one = run(peers[:1])
-            two = run(peers)
-        finally:
-            for proc in procs:
-                _stop_peer(proc)
-        assert one == solo
-        assert two == solo
