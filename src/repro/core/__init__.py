@@ -22,6 +22,7 @@ from repro.core.matching import (
     LevelGroup,
     MatchOutcome,
     SimilarityMatcher,
+    TileSchedule,
     build_level_groups,
     level_schedule,
     partner_levels,
@@ -65,6 +66,7 @@ __all__ = [
     "LevelGroup",
     "MatchOutcome",
     "SimilarityMatcher",
+    "TileSchedule",
     "build_level_groups",
     "level_schedule",
     "partner_levels",

@@ -69,29 +69,25 @@ def build_neighbor_table(
         raise ValueError("positions must have shape (n, 3)")
     offsets = neighbor_offsets(block)
     n = positions.shape[0]
-    table = np.full((n, offsets.shape[0]), -1, dtype=np.int64)
     if n == 0:
-        return table
+        return np.full((0, offsets.shape[0]), -1, dtype=np.int64)
 
     linear = linear_index(positions, grid)
     if (np.diff(linear) <= 0).any():
         raise ValueError("positions must be in strictly increasing FHW order")
-    lookup = {int(v): i for i, v in enumerate(linear)}
-
-    frames, height, width = grid
-    for o, (df, dr, dc) in enumerate(offsets):
-        partner = positions - np.array([df, dr, dc], dtype=np.int64)
-        valid = (partner >= 0).all(axis=1)
-        partner_linear = (
-            partner[:, 0] * height * width
-            + partner[:, 1] * width
-            + partner[:, 2]
-        )
-        for i in np.nonzero(valid)[0]:
-            j = lookup.get(int(partner_linear[i]))
-            if j is not None and j < i:
-                table[i, o] = j
-    return table
+    # Every (token, offset) partner at once: (n, offsets, 3).  A partner
+    # off the grid's low edge does not exist; any other is looked up in
+    # the sorted linear index, and counts only if it precedes its key
+    # (on a non-degenerate grid every backward offset does).
+    partner = positions[:, None, :] - offsets[None, :, :]
+    partner_linear = linear_index(partner.reshape(-1, 3), grid).reshape(
+        n, offsets.shape[0]
+    )
+    slot = np.searchsorted(linear, partner_linear)
+    found = np.take(linear, slot, mode="clip") == partner_linear
+    found &= (partner >= 0).all(axis=2)
+    found &= slot < np.arange(n)[:, None]
+    return np.where(found, slot, -1)
 
 
 def comparisons_in_table(table: np.ndarray) -> int:

@@ -34,12 +34,7 @@ import numpy as np
 
 from repro.config import FocusConfig
 from repro.core.blocks import build_neighbor_table, comparisons_in_table
-from repro.core.matching import (
-    LevelGroup,
-    SimilarityMatcher,
-    block_diagonal,
-    build_level_groups,
-)
+from repro.core.matching import SimilarityMatcher, TileSchedule
 
 __all__ = [
     "BatchGatherResult",
@@ -68,14 +63,14 @@ class TilePlan:
         table: ``(S, rows, n_offsets)`` local partner indices, one
             table per lane (``S = 1`` for a single sample; lanes may
             differ after semantic pruning diverges their layouts).
-        schedule: :func:`~repro.core.matching.build_level_groups` of
-            the lanes' :func:`~repro.core.matching.block_diagonal`
-            table — the wavefront matcher's per-level index structures
-            for the whole stack.
+        schedule: :meth:`~repro.core.matching.TileSchedule.stacked`
+            of ``table`` — the validated block-diagonal table, its
+            per-lane comparison counts and the wavefront matcher's
+            per-level index structures for the whole stack.
     """
 
     table: np.ndarray
-    schedule: tuple[LevelGroup, ...]
+    schedule: TileSchedule
 
 
 @dataclass
@@ -187,9 +182,7 @@ class SimilarityGather:
                     built[token] = table
             tables.append(table)
         table = np.stack(tables)
-        plan = TilePlan(
-            table=table, schedule=build_level_groups(block_diagonal(table))
-        )
+        plan = TilePlan(table=table, schedule=TileSchedule.stacked(table))
         if cacheable:
             self._table_cache[key] = plan
             while len(self._table_cache) > TABLE_CACHE_MAX_ENTRIES:
@@ -308,12 +301,14 @@ class SimilarityGather:
         num_blocks = blocks.shape[2]
         # L2 norms once for the whole stack; the norm reduces over the
         # contiguous v axis row by row, so per-tile slices are
-        # bit-identical to per-tile recomputation.
-        norms = np.linalg.norm(blocks, axis=3)
+        # bit-identical to per-tile recomputation.  This is
+        # np.linalg.norm's own formula for real input, without its
+        # wrapper and its conjugate copy.
+        norms = np.sqrt(np.add.reduce(blocks * blocks, axis=3))
 
-        reps_global = np.tile(
-            np.arange(num_rows, dtype=np.int64),
-            (num_samples, num_blocks, 1),
+        # Every row lies in exactly one tile, so the loop fills it all.
+        reps_global = np.empty(
+            (num_samples, num_blocks, num_rows), dtype=np.int64
         )
         tile_lengths: list[list[int]] = [[] for _ in range(num_samples)]
         tile_rows: list[list[int]] = [[] for _ in range(num_samples)]
@@ -340,14 +335,20 @@ class SimilarityGather:
             1, int(np.ceil(np.log2(max(2, min(m_tile, num_rows)))))
         )
 
-        # One fancy-indexed gather assembles x_approx: k-block b of
-        # row i takes k-block b of row reps_global[b, i], copied as one
-        # v-wide vector rather than column by column.
-        picked = blocks[
-            np.arange(num_samples)[:, None, None],
-            reps_global.transpose(0, 2, 1),
-            np.arange(num_blocks)[None, None, :],
-        ].reshape(num_samples, num_rows, num_blocks * blocks.shape[3])
+        # One take assembles x_approx: k-block b of row i takes k-block
+        # b of row reps_global[b, i], copied as one v-wide vector
+        # rather than column by column.  Vector b of row i of lane s
+        # is row (s * rows + i) * B + b of the flattened blocks.
+        slots = reps_global.transpose(0, 2, 1) * num_blocks
+        slots += np.arange(num_blocks)
+        if num_samples > 1:
+            slots += (
+                np.arange(num_samples) * (num_rows * num_blocks)
+            )[:, None, None]
+        vector = blocks.shape[3]
+        picked = flat.reshape(-1, vector).take(slots, axis=0).reshape(
+            num_samples, num_rows, num_blocks * vector
+        )
         x_approx = (
             picked if picked.shape[2] == k
             else np.ascontiguousarray(picked[:, :, :k])

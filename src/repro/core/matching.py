@@ -34,6 +34,12 @@ dependency DAG is the disjoint union of the lanes' DAGs and whose
 wavefront levels are the lanes' levels merged
 (:meth:`SimilarityMatcher.match_tile_batch`).
 
+Everything that depends only on the table — its validation, levels,
+comparison counts and per-level index arrays — lives in a
+:class:`TileSchedule`, which the gather caches per token layout, so a
+match call, like the SIC unit's fixed comparison window, adds no
+per-call setup.
+
 L2 norms are precomputed once per token, so each comparison costs a
 single ``v``-wide dot product plus a few scalar ops, matching the
 single-dot-product-unit matcher of Fig. 6(3).
@@ -62,23 +68,22 @@ def partner_levels(neighbor_table: np.ndarray) -> np.ndarray:
     """
     table = np.asarray(neighbor_table, dtype=np.int64)
     n = table.shape[0]
-    levels = np.zeros(n, dtype=np.int64)
     if n == 0 or table.shape[1] == 0:
-        return levels
-    valid = table >= 0
-    has_partner = valid.any(axis=1)
-    if not has_partner.any():
-        return levels
-    safe = np.where(valid, table, 0)
+        return np.zeros(n, dtype=np.int64)
+    # Absent partners read a sentinel level of -1 kept past the last
+    # row, so every sweep is one gather and one row max.
+    partners = np.where(table >= 0, table, n)
+    extended = np.full(n + 1, -1, dtype=np.int64)
+    levels = extended[:n]
     # A valid DAG (every partner precedes its key) has depth < n, so
-    # the fixpoint needs at most n sweeps; a table with a cycle or a
-    # forward reference would otherwise spin forever.
+    # the fixpoint needs at most n + 1 sweeps; a table with a cycle or
+    # a forward reference would otherwise spin forever.
     for _ in range(n + 1):
-        gathered = np.where(valid, levels[safe], -1)
-        new = np.where(has_partner, gathered.max(axis=1) + 1, 0)
-        if np.array_equal(new, levels):
-            return levels
-        levels = new
+        new = extended.take(partners).max(axis=1)
+        new += 1
+        if not (new != levels).any():
+            return new
+        levels[:] = new
     raise ValueError("partner indices must precede the key")
 
 
@@ -105,47 +110,140 @@ def level_schedule(levels: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelGroup:
     """Precomputed index structures for one wavefront level.
 
-    Everything here depends only on the neighbor table, so gathers
-    sharing a token set build these once (cached in the gather's tile
-    plan) and the per-level hot loop degenerates to pure array math.
+    Everything here depends only on the neighbor table and the k-block
+    count ``B``, so gathers sharing a token set build these once
+    (cached in the tile's :class:`TileSchedule`) and the per-level hot
+    loop degenerates to a fixed sequence of whole-array operations.
+
+    Indices address the tile's vectors in row-major ``(row, k-block)``
+    order: vector ``b`` of row ``i`` is slot ``i * B + b``.  The
+    representative array of the matcher uses the same slots, so a
+    vector's slot is also where its representative is recorded.
 
     Attributes:
-        rows: ``(r,)`` row indices resolved at this level.
-        valid3: ``(r, m, 1)`` mask of present partners, shaped to
-            broadcast over k-blocks.
-        safe: ``(r, m)`` partner indices with ``-1`` clamped to 0
-            (masked out of every decision by ``valid3``).
-        row_index: ``(r, 1)`` arange, for the per-row argmax pick.
+        keys: ``(r, B)`` slots of the vectors of the rows resolved at
+            this level.
+        partners: ``(r, B, m)`` slots of each key vector's partner
+            vectors, in table order; absent partners point at slot
+            ``b`` of row 0 and are masked by ``absent``.
+        absent: Flat indices of the absent partners in a
+            ``(r, B, m)`` array, or ``None`` when every row of the
+            level has all ``m``.
+        picks: ``(r, B)`` flat offset of each key vector's first
+            partner in a ``(r, B, m)`` array, so ``picks + argmax``
+            flat-indexes the chosen partner.
     """
 
-    rows: np.ndarray
-    valid3: np.ndarray
-    safe: np.ndarray
-    row_index: np.ndarray
+    keys: np.ndarray
+    partners: np.ndarray
+    absent: np.ndarray | None
+    picks: np.ndarray
 
 
 def build_level_groups(
-    table: np.ndarray, levels: np.ndarray | None = None
+    table: np.ndarray,
+    levels: np.ndarray | None = None,
+    num_blocks: int = 1,
 ) -> tuple[LevelGroup, ...]:
-    """Materialize :class:`LevelGroup` structures for a neighbor table."""
+    """Materialize :class:`LevelGroup` structures for a neighbor table
+    whose tile splits every row into ``num_blocks`` vectors.
+
+    The index arrays are built once for all scheduled rows, in level
+    order; each group holds views of its level's slice.
+    """
     table = np.asarray(table, dtype=np.int64)
     if levels is None:
         levels = partner_levels(table)
+    schedule = level_schedule(levels)
+    if not schedule:
+        return ()
+    rows = np.concatenate(schedule)
+    width = table.shape[1]
+    block_range = np.arange(num_blocks, dtype=np.int64)
+    tab = table[rows]
+    absent = tab < 0
+    keys = rows[:, None] * num_blocks + block_range
+    partners = (
+        np.where(absent, 0, tab)[:, None, :] * num_blocks
+        + block_range[:, None]
+    )
+    widest = max(group.size for group in schedule)
+    picks = np.arange(
+        0, widest * num_blocks * width, width, dtype=np.int64
+    ).reshape(widest, num_blocks)
+    # Flat (row, block, partner) positions of every absent partner,
+    # split by level and rebased to each level's first row.
+    row_size = num_blocks * width
+    missing = np.flatnonzero(np.repeat(absent[:, None, :], num_blocks, 1))
+    sizes = np.array([group.size for group in schedule], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    cuts = np.searchsorted(missing, starts * row_size)
     groups = []
-    for rows in level_schedule(levels):
-        tab = table[rows]
-        valid = tab >= 0
+    for index, size in enumerate(sizes.tolist()):
+        start, stop = starts[index], starts[index + 1]
+        lo, hi = cuts[index], cuts[index + 1]
         groups.append(LevelGroup(
-            rows=rows,
-            valid3=valid[:, :, None],
-            safe=np.where(valid, tab, 0),
-            row_index=np.arange(rows.size, dtype=np.int64)[:, None],
+            keys=keys[start:stop],
+            partners=partners[start:stop],
+            absent=missing[lo:hi] - start * row_size if hi > lo else None,
+            picks=picks[:size],
         ))
     return tuple(groups)
+
+
+class TileSchedule:
+    """Value-independent matcher state of one tile.
+
+    Built once per neighbor table (gathers cache it per token layout,
+    see :class:`repro.core.gather.TilePlan`), it holds everything a
+    match call would otherwise rebuild: the validated table, its
+    dependency levels, the per-lane comparison counts and, per k-block
+    count, the :class:`LevelGroup` index structures.
+
+    Attributes:
+        table: ``(n, m)`` neighbor table; for a stack of lanes, their
+            :func:`block_diagonal` table.
+        partners: ``(lanes,)`` valid partner entries per lane (a lane
+            is a run of ``n // lanes`` rows); a match performs this
+            many comparisons per k-block.
+    """
+
+    def __init__(
+        self,
+        table: np.ndarray,
+        levels: np.ndarray | None = None,
+        lanes: int = 1,
+    ) -> None:
+        table = np.asarray(table, dtype=np.int64)
+        _validate_tile(table, table.shape[0])
+        self.table = table
+        self.partners = np.count_nonzero(
+            table.reshape(lanes, -1) >= 0, axis=1
+        ).astype(np.int64)
+        self._levels = levels
+        self._groups: dict[int, tuple[LevelGroup, ...]] = {}
+
+    @classmethod
+    def stacked(cls, tables: np.ndarray) -> "TileSchedule":
+        """The schedule of ``(S, n, m)`` lane tables matched as one
+        block-diagonal tile."""
+        tables = np.asarray(tables, dtype=np.int64)
+        return cls(block_diagonal(tables), lanes=tables.shape[0])
+
+    def groups(self, num_blocks: int) -> tuple[LevelGroup, ...]:
+        """The level groups for ``num_blocks`` vectors per row."""
+        groups = self._groups.get(num_blocks)
+        if groups is None:
+            if self._levels is None:
+                self._levels = partner_levels(self.table)
+            groups = self._groups[num_blocks] = build_level_groups(
+                self.table, self._levels, num_blocks
+            )
+        return groups
 
 
 @dataclass
@@ -300,7 +398,7 @@ class SimilarityMatcher:
         neighbor_table: np.ndarray,
         levels: np.ndarray | None = None,
         norms: np.ndarray | None = None,
-        schedule: "tuple[LevelGroup, ...] | None" = None,
+        schedule: TileSchedule | None = None,
     ) -> MatchOutcome:
         """Level-scheduled matcher, bit-identical to the reference.
 
@@ -325,82 +423,67 @@ class SimilarityMatcher:
             norms: Optional precomputed ``(n, B)`` L2 norms of
                 ``blocks`` — callers gathering many tiles compute them
                 once for the whole matrix and pass slices.
-            schedule: Optional precomputed :func:`build_level_groups`
-                output for the table.
+            schedule: Optional :class:`TileSchedule` of the table,
+                built (and the table validated) here when ``None``;
+                when given, it stands for ``neighbor_table``.
 
         Returns:
             Representative assignments and comparison count.
         """
         blocks = np.asarray(blocks, dtype=np.float32)
-        n, num_blocks, _ = blocks.shape
-        table = np.asarray(neighbor_table, dtype=np.int64)
-        _validate_tile(table, n)
-
+        n, num_blocks, vector = blocks.shape
+        if schedule is None:
+            schedule = TileSchedule(neighbor_table, levels)
+        if schedule.table.shape[0] != n:
+            raise ValueError("neighbor table does not cover the tile")
         if norms is None:
             norms = np.linalg.norm(blocks, axis=2)
-        reps = np.tile(np.arange(n, dtype=np.int64), (num_blocks, 1))
-        if n == 0 or table.shape[1] == 0:
-            return MatchOutcome(reps=reps, comparisons=0)
-        if schedule is None:
-            schedule = build_level_groups(table, levels)
-        # The comparison count is a pure function of the table: every
-        # valid partner of every row costs one comparison per k-block.
-        comparisons = int(np.count_nonzero(table >= 0)) * num_blocks
-        eps_sq = NORM_EPS * NORM_EPS
-        # When no vector in the tile has a sub-epsilon norm, every
-        # denominator is >= float32(eps^2) (the minimum float32 product
-        # of two surviving norms lands exactly on it), so the zero-pair
-        # branch is the constant 0.0 and np.maximum is the identity —
-        # the short where below is bit-identical to the full chain.
-        tile_has_zero = bool((norms < NORM_EPS).any())
-        reps_rows = reps.T                          # (n, B) view
-        block_range3 = np.arange(num_blocks)[None, None, :]
-        block_range_row = np.arange(num_blocks)[None, :]
+        # reps[i * B + b]: slot of the representative of vector b of
+        # row i (see LevelGroup); every vector starts as its own.
+        reps = np.arange(n * num_blocks, dtype=np.int64)
+        flat_blocks = blocks.reshape(n * num_blocks, vector)
+        flat_norms = norms.reshape(n * num_blocks)
+        threshold = np.float64(self.threshold)
+        # When the smallest norm's square clears eps^2, every
+        # denominator does (float32 rounding is monotone), so the
+        # guarded quotient of the reference reduces to dots / denom.
+        # Sims stay float32; the float64 threshold compares them
+        # exactly, as the reference's float64 sims are compared.
+        smallest = flat_norms.min() if flat_norms.size else np.float32(1)
+        exact = bool(smallest * smallest > NORM_EPS * NORM_EPS)
 
-        for group in schedule:
-            rows = group.rows
+        for group in schedule.groups(num_blocks):
             # Partners' representatives are final: their levels are
             # strictly lower, so earlier iterations fixed them.
-            partner_reps = reps_rows[group.safe]    # (r, m, B)
-            stored = blocks[partner_reps, block_range3, :]  # (r, m, B, v)
-            stored_norms = norms[partner_reps, block_range3]
-            key_norms = norms[rows][:, None, :]     # (r, 1, B)
-            dots = np.einsum("rmbv,rbv->rmb", stored, blocks[rows])
-            denom = stored_norms * key_norms
-            if tile_has_zero:
-                sims = np.where(
-                    denom > eps_sq,
-                    dots / np.maximum(denom, eps_sq),
-                    # Two exact-zero vectors are identical; a zero
-                    # against a non-zero is maximally dissimilar.
-                    np.where(
-                        (stored_norms < NORM_EPS) & (key_norms < NORM_EPS),
-                        1.0,
-                        0.0,
-                    ),
-                )
+            stored = reps.take(group.partners)          # (r, B, m)
+            stored_norms = flat_norms.take(stored)
+            key_norms = flat_norms.take(group.keys)[:, :, None]
+            sims = np.einsum(
+                "rbmv,rbv->rbm",
+                flat_blocks.take(stored, axis=0),
+                flat_blocks.take(group.keys, axis=0),
+            )
+            if exact:
+                stored_norms *= key_norms
+                sims /= stored_norms
             else:
-                # np.float64(0.0) deliberately reproduces the full
-                # chain's float64 promotion: the reference compares
-                # sims to the threshold in float64, and a float32
-                # comparison could flip a sim landing exactly on
-                # float32(threshold).
-                sims = np.where(denom > eps_sq, dots / denom, np.float64(0.0))
+                sims = _guarded_cosine(sims, stored_norms, key_norms)
             # Absent partners never win: -inf loses to every real
             # similarity, and compaction order == table order, so the
             # first-maximum argmax picks the same partner the serial
             # loop picks over its compacted partner list.
-            sims = np.where(group.valid3, sims, -np.inf)
-            best = np.argmax(sims, axis=1)          # (r, B)
-            best_sims = sims[group.row_index, best, block_range_row]
-            matched = best_sims > self.threshold    # (r, B)
-            if matched.any():
-                chosen = partner_reps[
-                    group.row_index, best, block_range_row
-                ]
-                ri, bi = np.nonzero(matched)
-                reps[bi, rows[ri]] = chosen[ri, bi]
-        return MatchOutcome(reps=reps, comparisons=comparisons)
+            if group.absent is not None:
+                sims.put(group.absent, -np.inf)
+            best = sims.argmax(axis=2)
+            best += group.picks
+            matched = sims.take(best) > threshold
+            reps.put(group.keys, np.where(matched, stored.take(best),
+                                          group.keys))
+        comparisons = int(schedule.partners.sum()) * num_blocks
+        return MatchOutcome(
+            reps=(reps // num_blocks).reshape(n, num_blocks).T,
+            comparisons=comparisons,
+        )
 
     match_tile = match_tile_wavefront
     """Match one tile (see :meth:`match_tile_wavefront`)."""
@@ -410,7 +493,7 @@ class SimilarityMatcher:
         blocks: np.ndarray,
         neighbor_table: np.ndarray,
         norms: np.ndarray | None = None,
-        schedule: "tuple[LevelGroup, ...] | None" = None,
+        schedule: TileSchedule | None = None,
     ) -> BatchMatchOutcome:
         """Match one tile across a stack of samples in one pass.
 
@@ -421,8 +504,10 @@ class SimilarityMatcher:
         table per sample (the post-pruning case, where lanes of one
         batch have diverged layouts).  The stack runs through
         :meth:`match_tile_wavefront` as one ``S * n``-row tile with
-        the :func:`block_diagonal` table; ``schedule``, when given, is
-        that table's :func:`build_level_groups`.  Rows of different
+        the :func:`block_diagonal` table.  ``schedule``, when given,
+        is :meth:`TileSchedule.stacked` of these tables, so a caller
+        that caches it skips the per-call block-diagonal build,
+        validation and comparison count.  Rows of different
         lanes never meet, and the per-row float kernels do not depend
         on which other rows share a level, so slice ``s`` of the
         result is bit-identical to ``match_tile(blocks[s],
@@ -431,22 +516,48 @@ class SimilarityMatcher:
         """
         blocks = np.asarray(blocks, dtype=np.float32)
         num_samples, n, num_blocks, v = blocks.shape
-        tables = np.asarray(neighbor_table, dtype=np.int64)
-        if tables.ndim == 2:
-            tables = np.broadcast_to(tables, (num_samples,) + tables.shape)
-        if tables.shape[:2] != (num_samples, n):
+        if schedule is None:
+            tables = np.asarray(neighbor_table, dtype=np.int64)
+            if tables.ndim == 2:
+                tables = np.broadcast_to(
+                    tables, (num_samples,) + tables.shape
+                )
+            if tables.shape[:2] != (num_samples, n):
+                raise ValueError("stacked tables do not cover the stack")
+            schedule = TileSchedule.stacked(tables)
+        elif schedule.partners.shape != (num_samples,):
             raise ValueError("stacked tables do not cover the stack")
         if norms is not None:
             norms = norms.reshape(num_samples * n, num_blocks)
         outcome = self.match_tile_wavefront(
             blocks.reshape(num_samples * n, num_blocks, v),
-            block_diagonal(tables), norms=norms, schedule=schedule,
+            schedule.table, norms=norms, schedule=schedule,
         )
         offsets = np.arange(num_samples, dtype=np.int64)[:, None, None] * n
         reps = outcome.reps.reshape(
             num_blocks, num_samples, n
         ).transpose(1, 0, 2) - offsets
-        comparisons = (
-            np.count_nonzero(tables >= 0, axis=(1, 2)) * num_blocks
-        ).astype(np.int64)
-        return BatchMatchOutcome(reps=reps, comparisons=comparisons)
+        return BatchMatchOutcome(
+            reps=reps, comparisons=schedule.partners * num_blocks
+        )
+
+
+def _guarded_cosine(
+    dots: np.ndarray, stored_norms: np.ndarray, key_norms: np.ndarray
+) -> np.ndarray:
+    """Cosine similarity with the reference's zero-norm rules, float64.
+
+    Two exact-zero vectors are identical; a zero against a non-zero is
+    maximally dissimilar; the quotient's denominator is floored at
+    eps^2.  Used for tiles holding a norm too small for the plain
+    quotient (see :meth:`SimilarityMatcher.match_tile_wavefront`).
+    """
+    eps_sq = NORM_EPS * NORM_EPS
+    denom = stored_norms * key_norms
+    return np.where(
+        denom > eps_sq,
+        dots / np.maximum(denom, eps_sq),
+        np.where(
+            (stored_norms < NORM_EPS) & (key_norms < NORM_EPS), 1.0, 0.0
+        ),
+    )

@@ -12,16 +12,24 @@ import functools
 import numpy as np
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(
+    x: np.ndarray, axis: int = -1, out: np.ndarray | None = None
+) -> np.ndarray:
     """Numerically stable softmax along ``axis``.
 
-    The exponential and the normalizing division run in place on the
-    shifted copy (never on the caller's array), halving the temporary
-    allocations on the attention hot path without changing a bit of
-    the result.
+    The shift, the exponential and the normalizing division all run in
+    place on one array: a fresh one by default (never the caller's
+    input), or ``out`` when given, numpy's ``out=`` convention.  Pass
+    ``out=x`` to overwrite a float32 array the caller owns, such as
+    the attention scores; that skips the largest temporary of the
+    attention hot path, whose fresh pages cost more than the
+    arithmetic.  Every element sees the same operations either way,
+    so the result is bit-identical.
     """
     x = np.asarray(x, dtype=np.float32)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = np.subtract(
+        x, np.max(x, axis=axis, keepdims=True), out=out
+    )
     np.exp(shifted, out=shifted)
     shifted /= np.sum(shifted, axis=axis, keepdims=True)
     return shifted

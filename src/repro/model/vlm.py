@@ -312,7 +312,8 @@ class SyntheticVLM:
             lane.trace.add(
                 GemmTrace(name="qk", layer=layer_index, m=s, k=d, n=s)
             )
-        probs = softmax(scores, axis=-1)
+        # The scores are this layer's own array: normalize them in place.
+        probs = softmax(scores, axis=-1, out=scores)
 
         if plugin.needs_attention_summary:
             # Attention received per key, averaged over heads and

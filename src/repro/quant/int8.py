@@ -45,7 +45,7 @@ def fake_quant_int8(x: np.ndarray, axis: int = -1) -> np.ndarray:
     # ~9e-44) takes the float32 grid itself, which holds it exactly;
     # a scale of 1.0 would round such values to zero.
     scale = np.where(scale > 0, scale, _SMALLEST_SCALE)
-    return (np.round(x / scale) * scale).astype(np.float32)
+    return (np.round(x / scale) * scale).astype(np.float32, copy=False)
 
 
 def quantize_model(model: SyntheticVLM) -> SyntheticVLM:

@@ -25,7 +25,7 @@ from repro.baselines.framefusion import FrameFusionPlugin
 from repro.config import FocusConfig
 from repro.core.adaptive import AdaptiveFocusPlugin
 from repro.core.gather import SimilarityGather
-from repro.core.matching import SimilarityMatcher
+from repro.core.matching import SimilarityMatcher, TileSchedule
 from repro.core.pipeline import layout_digest
 from repro.cli import build_parser, main as cli_main
 from repro.engine import EvalJob, ExperimentEngine
@@ -142,6 +142,24 @@ class TestMatcherDifferential:
             ref = matcher.match_tile_reference(blocks[s], tables[s])
             np.testing.assert_array_equal(outcome.reps[s], ref.reps)
             assert int(outcome.comparisons[s]) == ref.comparisons
+
+    @given(random_batch_tiles())
+    @settings(max_examples=30, deadline=None)
+    def test_cached_schedule_equals_fresh(self, batch):
+        # A gather's cached TileSchedule stands in for the tables: the
+        # same reps and counts, call after call.
+        blocks, tables, threshold = batch
+        matcher = SimilarityMatcher(threshold)
+        fresh = matcher.match_tile_batch(blocks, tables)
+        schedule = TileSchedule.stacked(tables)
+        for _ in range(2):
+            cached = matcher.match_tile_batch(
+                blocks, tables, schedule=schedule
+            )
+            np.testing.assert_array_equal(cached.reps, fresh.reps)
+            np.testing.assert_array_equal(
+                cached.comparisons, fresh.comparisons
+            )
 
     def test_stacked_table_validation(self):
         matcher = SimilarityMatcher(0.9)

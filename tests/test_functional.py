@@ -36,6 +36,20 @@ class TestSoftmax:
         out = softmax(np.array([[0.0, -np.inf]]))
         np.testing.assert_allclose(out, [[1.0, 0.0]])
 
+    def test_out_in_place_is_bit_identical(self):
+        x = np.random.default_rng(5).standard_normal(
+            (2, 3, 9, 9)
+        ).astype(np.float32)
+        x += causal_mask(9)
+        fresh = softmax(x, axis=-1)
+        assert not np.shares_memory(fresh, x)
+        scores = x.copy()
+        probs = softmax(scores, axis=-1, out=scores)
+        assert probs is scores
+        np.testing.assert_array_equal(
+            probs.view(np.uint32), fresh.view(np.uint32)
+        )
+
     @given(finite_rows)
     @settings(max_examples=25, deadline=None)
     def test_shift_invariance(self, x):

@@ -107,6 +107,58 @@ class TestNeighborOffsets:
         assert neighbor_offsets((1, 1, 1)).shape == (0, 3)
 
 
+def dict_neighbor_table(positions, grid, block):
+    """Oracle: the plain dict-and-loop partner lookup.
+
+    Maps every surviving token's linear index to its local index in a
+    Python dict, then resolves each backward offset row by row; the
+    vectorized :func:`build_neighbor_table` must equal it.
+    """
+    positions = np.asarray(positions, dtype=np.int64).reshape(-1, 3)
+    offsets = neighbor_offsets(block)
+    n = positions.shape[0]
+    table = np.full((n, offsets.shape[0]), -1, dtype=np.int64)
+    if n == 0:
+        return table
+    linear = linear_index(positions, grid)
+    lookup = {int(v): i for i, v in enumerate(linear)}
+    frames, height, width = grid
+    for o, (df, dr, dc) in enumerate(offsets):
+        partner = positions - np.array([df, dr, dc], dtype=np.int64)
+        valid = (partner >= 0).all(axis=1)
+        partner_linear = (
+            partner[:, 0] * height * width
+            + partner[:, 1] * width
+            + partner[:, 2]
+        )
+        for i in np.nonzero(valid)[0]:
+            j = lookup.get(int(partner_linear[i]))
+            if j is not None and j < i:
+                table[i, o] = j
+    return table
+
+
+@st.composite
+def pruned_layouts(draw):
+    """A grid (1-wide axes included), a block shape, and a sorted
+    subset of the grid's cells: empty, one token, or any other."""
+    grid = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    block = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    cells = int(np.prod(grid))
+    kept = draw(st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, cells - 1), min_size=1, max_size=1),
+        st.lists(st.integers(0, cells - 1), unique=True, max_size=cells),
+    ))
+    linear = np.array(sorted(kept), dtype=np.int64)
+    frames, height, width = grid
+    positions = np.stack([
+        linear // (height * width), (linear // width) % height,
+        linear % width,
+    ], axis=1).reshape(-1, 3)
+    return positions, grid, block
+
+
 class TestNeighborTable:
     def test_full_grid_interior_token(self):
         grid = (2, 3, 3)
@@ -158,3 +210,12 @@ class TestNeighborTable:
     def test_linear_index(self):
         positions = np.array([[1, 2, 3]])
         assert linear_index(positions, (2, 4, 5))[0] == 1 * 20 + 2 * 5 + 3
+
+    @given(pruned_layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle(self, layout):
+        positions, grid, block = layout
+        table = build_neighbor_table(positions, grid, block)
+        expected = dict_neighbor_table(positions, grid, block)
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
