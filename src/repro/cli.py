@@ -523,13 +523,12 @@ def _run_detailed(
     results = registry.run_experiments(
         spec.experiments, engine, on_error=spec.on_error, **spec.params
     )
-    reports = {}
-    failures: dict[str, object] = {}
-    for name, result in results.items():
-        reports[name] = registry.format_result(name, result)
-        if isinstance(result, ExperimentFailure):
-            failures[name] = result.as_detail()
-    return reports, failures
+    failures = {
+        name: result.as_detail()
+        for name, result in results.items()
+        if isinstance(result, ExperimentFailure)
+    }
+    return results.reports, failures
 
 
 def main(argv: list[str] | None = None) -> int:

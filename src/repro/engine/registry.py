@@ -19,7 +19,9 @@ registry import-light.
 
 from __future__ import annotations
 
+import functools
 import importlib
+import json
 import threading
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Mapping
@@ -27,6 +29,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.engine.cache import ResultCache
 from repro.engine.faults import ExperimentFailure, JobFailure
 from repro.engine.jobs import EvalJob
+from repro.engine.memo import Report
 from repro.engine.scheduler import ExperimentEngine
 
 PlanFactory = Callable[..., "ExperimentPlan"]
@@ -302,13 +305,42 @@ def run_plan(
     return assemble_plan(plan, results)
 
 
+class ExperimentResults(dict):
+    """Assembled results keyed by experiment name, as
+    :func:`run_experiments` returns them.
+
+    ``reports`` maps each name to its report text, exactly what
+    :func:`format_result` renders for the result.  A memoized result
+    is the same object in every run that reads it: read-only.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reports: dict[str, str] = {}
+
+
+def _canonical_params(params: Mapping[str, Any]) -> str:
+    """One spelling of a run's plan parameters: sorted-key JSON, with
+    ``repr`` for any value JSON cannot hold."""
+    return json.dumps(
+        params, sort_keys=True, separators=(",", ":"), default=repr
+    )
+
+
+def _build_report(
+    name: str, plan: ExperimentPlan, results: Mapping[EvalJob, Any]
+) -> Report:
+    result = assemble_plan(plan, results)
+    return Report(result, format_result(name, result))
+
+
 def run_experiments(
     names: Iterable[str],
     engine: ExperimentEngine | None = None,
     progress: Callable[..., None] | None = None,
     on_error: str = "raise",
     **params: Any,
-) -> dict[str, Any]:
+) -> ExperimentResults:
     """Run several experiments as one deduplicated schedule.
 
     ``params`` (e.g. ``num_samples``, ``seed``) are forwarded to every
@@ -318,27 +350,40 @@ def run_experiments(
     this schedule only (see :meth:`ExperimentEngine.run`), which is
     how the serving layer keeps concurrent runs' event streams apart.
 
+    Each experiment is assembled and formatted once per engine: its
+    :class:`~repro.engine.memo.Report` is memoized in the engine's
+    ``report_memo`` under ``(name, canonical params, the plan's job
+    ids)``, so a repeat run (a warm ``repro serve`` hit) reads its
+    result and text back instead of simulating and rendering again.
+
     ``on_error="collect"`` switches to partial results: experiments
     untouched by failures assemble normally, while each experiment
     with a permanently failed job maps to an
     :class:`~repro.engine.faults.ExperimentFailure` naming the lost
     jobs (a shared failed job surfaces in every experiment that needed
-    it).  The default ``"raise"`` propagates the first permanent
-    failure, exactly like the engine.
+    it).  Failures are never memoized.  The default ``"raise"``
+    propagates the first permanent failure, exactly like the engine.
 
     Returns:
         Mapping from experiment name to its assembled result (or
-        :class:`ExperimentFailure` in collect mode).
+        :class:`ExperimentFailure` in collect mode), with every
+        report's text in its ``reports`` attribute.
     """
     engine = engine if engine is not None else default_engine()
     plans = {name: get_spec(name).plan(**params) for name in names}
     all_jobs = [job for plan in plans.values() for job in plan.jobs]
     results = engine.run(all_jobs, progress=progress, on_error=on_error)
-    out: dict[str, Any] = {}
+    canonical = _canonical_params(params)
+    out = ExperimentResults()
     for name, plan in plans.items():
         failures = _plan_failures(plan, results)
         if failures:
-            out[name] = ExperimentFailure(name=name, failures=failures)
+            failure = ExperimentFailure(name=name, failures=failures)
+            report = Report(failure, failure.describe())
         else:
-            out[name] = assemble_plan(plan, results)
+            key = (name, canonical, tuple(job.job_id for job in plan.jobs))
+            report = engine.report_memo.get(
+                key, functools.partial(_build_report, name, plan, results)
+            )
+        out[name], out.reports[name] = report.result, report.text
     return out

@@ -78,6 +78,7 @@ from repro.engine.faults import (
     run_job_attempt,
 )
 from repro.engine.jobs import EvalJob
+from repro.engine.memo import ReportMemo
 
 logger = logging.getLogger("repro.engine")
 
@@ -348,6 +349,10 @@ class ExperimentEngine:
 
             self.fleet = FleetDispatcher(peer_urls)
         self.stats = EngineStats()
+        # Assembled reports of the runs driven through this engine
+        # (repro.engine.registry.run_experiments): a repeat run skips
+        # assembly and formatting.
+        self.report_memo = ReportMemo()
         self._pool: ProcessPoolExecutor | None = None
         # One reentrant lock guards the counters, the pool handle, the
         # in-flight table, and event emission, so concurrent run()

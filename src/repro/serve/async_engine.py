@@ -110,7 +110,7 @@ class AsyncRun:
                 f"run of {self.names} cancelled (event loop closed)"
             ) from None
 
-    def _execute(self) -> dict[str, Any]:
+    def _execute(self) -> registry.ExperimentResults:
         """Blocking body: one deduplicated schedule over all names."""
         if self._cancel.is_set():
             raise RunCancelled(f"run of {self.names} cancelled")
@@ -189,8 +189,9 @@ class AsyncRun:
                     if item is not _DONE:
                         self._slots.release()
 
-    async def result(self) -> dict[str, Any]:
-        """Await the run; return assembled results keyed by name.
+    async def result(self) -> registry.ExperimentResults:
+        """Await the run; return assembled results keyed by name, with
+        their report texts in ``reports``.
 
         Raises :class:`RunCancelled` for cancelled runs and re-raises
         whatever the schedule raised for failed ones.

@@ -83,6 +83,7 @@ from repro.serve.http import (
     respond_bytes,
     respond_json,
 )
+from repro.store.replay import frame_raw
 from repro.store.runstore import DEFAULT_STORE_PATH, RunStore
 
 DEFAULT_PORT = 8377
@@ -103,15 +104,17 @@ run store attached, evicted runs stay reachable from SQLite."""
 class RunLog:
     """Per-run append-only event log: ring-buffer cache over the store.
 
-    Events get contiguous ids ``1..n`` at append time; subscribers
-    replay any retained suffix by id and block on an
+    Events get contiguous ids ``1..n`` at append time and are encoded
+    once, to the canonical JSON line that the store row, the SSE
+    frames and the JSON-lines frames all carry.  Subscribers replay
+    any retained suffix by id and block on an
     :class:`asyncio.Condition` for live tail-follow.  With a
     :class:`~repro.store.runstore.RunStore` attached, every append
     *writes through* to SQLite before it lands in the ring, so the
-    ring is purely a cache: :meth:`events_since` bridges any evicted
+    ring is purely a cache: :meth:`rows_since` bridges any evicted
     prefix from the store and resume stays lossless at every ring
     size.  Without a store, an overflowing stream drops its oldest
-    events and :meth:`events_since` reports the gap.
+    events and :meth:`rows_since` reports the gap.
     """
 
     STORE_CHUNK = 4096
@@ -127,8 +130,9 @@ class RunLog:
         self.capacity = max(1, capacity)
         self.store = store
         self.run_id = run_id
-        self._events: deque[dict[str, Any]] = deque()
-        self._first_id = 1  # id of _events[0] when non-empty
+        # (id, event name, canonical JSON line): the store's row shape.
+        self._rows: deque[tuple[int, str, str]] = deque()
+        self._first_id = 1  # id of _rows[0] when non-empty
         self._next_id = 1
         self.closed = False
         self._cond = asyncio.Condition()
@@ -143,9 +147,10 @@ class RunLog:
         async with self._cond:
             stamped["id"] = self._next_id
             self._next_id += 1
+            line = codec.to_json(stamped)
             if self.store is not None:
                 try:
-                    self.store.append_event(self.run_id, stamped)
+                    self.store.append_event(self.run_id, stamped, line)
                 except Exception as exc:
                     # Never let a sick store kill a live stream: shed
                     # the durable tier and keep serving from the ring.
@@ -155,19 +160,22 @@ class RunLog:
                         "continuing ring-only", file=sys.stderr,
                     )
                     self.store = None
-            self._events.append(stamped)
-            while len(self._events) > self.capacity:
-                self._events.popleft()
+            self._rows.append(
+                (stamped["id"], str(stamped.get("event", "")), line)
+            )
+            while len(self._rows) > self.capacity:
+                self._rows.popleft()
                 self._first_id += 1
             if codec.is_terminal(stamped):
                 self.closed = True
             self._cond.notify_all()
         return stamped
 
-    def events_since(
+    def rows_since(
         self, last_id: int
-    ) -> tuple[list[dict[str, Any]], int]:
-        """Events with id > ``last_id``, plus the unbridgeable drop count.
+    ) -> tuple[list[tuple[int, str, str]], int]:
+        """``(id, event, line)`` rows with id > ``last_id``, plus the
+        unbridgeable drop count.
 
         Served from the ring when retained; a prefix the ring evicted
         is bridged from the run store (in :attr:`STORE_CHUNK` slices,
@@ -177,35 +185,42 @@ class RunLog:
         tiers (0 in the lossless case).  Ring cost is proportional to
         the suffix returned, so a live tail pays O(1) per event.
         """
-        events, dropped = self._ring_since(last_id)
+        rows, dropped = self._ring_since(last_id)
         if not dropped or self.store is None:
-            return events, dropped
-        bridge = self.store.events_since(
+            return rows, dropped
+        bridge = self.store.raw_events_since(
             self.run_id, last_id, limit=min(dropped, self.STORE_CHUNK)
         )
-        if bridge and bridge[-1]["id"] - last_id == len(bridge):
+        if bridge and bridge[-1][0] - last_id == len(bridge):
             if len(bridge) == dropped:
-                return bridge + events, 0
+                return bridge + rows, 0
             return bridge, 0  # partial bridge: caller resumes after it
-        return events, dropped  # store can't bridge: report the gap
+        return rows, dropped  # store can't bridge: report the gap
+
+    def events_since(
+        self, last_id: int
+    ) -> tuple[list[dict[str, Any]], int]:
+        """:meth:`rows_since` with each row decoded to its event."""
+        rows, dropped = self.rows_since(last_id)
+        return [json.loads(line) for _, _, line in rows], dropped
 
     def _ring_since(
         self, last_id: int
-    ) -> tuple[list[dict[str, Any]], int]:
-        if not self._events:
+    ) -> tuple[list[tuple[int, str, str]], int]:
+        if not self._rows:
             return [], 0
         dropped = max(0, self._first_id - 1 - last_id)
         start = max(0, last_id + 1 - self._first_id)
-        count = len(self._events) - start
+        count = len(self._rows) - start
         if count <= 0:
             return [], dropped
         if count < start:
             # Short suffix of a long log (the live-tail case): walk in
             # from the right instead of skipping the whole prefix.
-            suffix = list(itertools.islice(reversed(self._events), count))
+            suffix = list(itertools.islice(reversed(self._rows), count))
             suffix.reverse()
             return suffix, dropped
-        return list(itertools.islice(self._events, start, None)), dropped
+        return list(itertools.islice(self._rows, start, None)), dropped
 
     async def wait_beyond(self, last_id: int) -> None:
         """Block until an event with id > ``last_id`` exists or the
@@ -276,6 +291,7 @@ class ServeApp:
         self.max_finished_runs = max(1, max_finished_runs)
         self.store = store
         self.runs: dict[str, Run] = {}
+        self._finished: deque[str] = deque()  # terminal run ids, oldest first
 
     def _evict_finished_runs(self) -> None:
         """Keep at most ``max_finished_runs`` terminal runs.
@@ -283,13 +299,12 @@ class ServeApp:
         Evicted runs' logs and reports are dropped (their cached job
         results live on in the engine's ``ResultCache``); live runs
         are never evicted, so ``runs`` stays bounded by live traffic
-        plus the retention cap instead of growing forever.
+        plus the retention cap instead of growing forever.  The
+        oldest-finished runs go first, at a cost proportional to the
+        runs evicted.
         """
-        finished = [run_id for run_id, run in self.runs.items()
-                    if run.status != "running"]
-        for run_id in finished[:max(0, len(finished)
-                                    - self.max_finished_runs)]:
-            del self.runs[run_id]
+        while len(self._finished) > self.max_finished_runs:
+            del self.runs[self._finished.popleft()]
 
     # -- run lifecycle -----------------------------------------------
 
@@ -340,7 +355,7 @@ class ServeApp:
             await run.log.append(codec.encode_run_cancelled(
                 run.run_id, time.monotonic() - run.started
             ))
-            self._persist_outcome(run)
+            self._finish_run(run)
             return
         except Exception as exc:  # schedule failed; report, keep serving
             run.status = "failed"
@@ -348,12 +363,9 @@ class ServeApp:
             await run.log.append(codec.encode_run_failed(
                 run.run_id, run.error, time.monotonic() - run.started
             ))
-            self._persist_outcome(run)
+            self._finish_run(run)
             return
-        run.reports = {
-            name: registry.format_result(name, results[name])
-            for name in run.experiments
-        }
+        run.reports = {name: results.reports[name] for name in run.experiments}
         run.failures = {
             name: result.as_detail()
             for name, result in results.items()
@@ -374,7 +386,7 @@ class ServeApp:
                 run.run_id, run.reports, elapsed,
                 cache_tiers=cache_tiers,
             ))
-        self._persist_outcome(run)
+        self._finish_run(run)
 
     def _cache_delta(self, run: Run) -> dict[str, Any] | None:
         """The shared cache's per-tier activity over this run's life.
@@ -399,9 +411,10 @@ class ServeApp:
             tiers["joined"] = run.joined
         return tiers
 
-    def _persist_outcome(self, run: Run) -> None:
-        """Record a terminal run's status, reports, and failures in
-        the store."""
+    def _finish_run(self, run: Run) -> None:
+        """Retire a terminal run: queue it for eviction and record its
+        status, reports, and failures in the store."""
+        self._finished.append(run.run_id)
         if self.store is None:
             return
         try:
@@ -686,21 +699,25 @@ class ServeApp:
         jsonl: bool, last_id: int,
     ) -> None:
         while True:
-            batch, dropped = run.log.events_since(last_id)
+            batch, dropped = run.log.rows_since(last_id)
             if dropped:
                 # Both the ring and the store (if any) have lost part
                 # of the requested replay; tell the client instead of
                 # silently skipping.  The gap carries the first
                 # *retained* seq so id/seq cursors move forward.
-                first_seq = batch[0].get("seq", 0) if batch else 0
+                first_seq = (
+                    json.loads(batch[0][2]).get("seq", 0) if batch else 0
+                )
                 gap = codec.encode_gap(
                     dropped, last_id + dropped, first_seq
                 )
                 writer.write(codec.frame(gap, jsonl))
                 last_id += dropped
-            for event in batch:
-                writer.write(codec.frame(event, jsonl))
-                last_id = event["id"]
+            for event_id, name, line in batch:
+                writer.write(
+                    frame_raw(event_id, name, line, jsonl).encode("utf-8")
+                )
+                last_id = event_id
             await writer.drain()
             if run.log.closed and last_id >= run.log.last_id:
                 return
@@ -718,8 +735,6 @@ class ServeApp:
         at the last stored event — stored runs are never live, so
         there is nothing to tail.
         """
-        from repro.store.replay import frame_raw
-
         jsonl, last_id = self._parse_stream_query(headers, query)
         self._start_stream(writer, jsonl)
         await writer.drain()

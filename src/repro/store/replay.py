@@ -11,9 +11,9 @@ to what a subscriber of the original run received:
   — one canonical JSON line per event.
 
 Byte-identity is by construction, not re-encoding: the store holds
-each event's canonical JSON line verbatim (``id`` included), and
-framing concatenates stored columns exactly as
-:func:`repro.serve.events.format_sse` did at record time.
+each event's canonical JSON line verbatim (``id`` included), and the
+live server frames the very same ``(id, event, line)`` rows with
+:func:`frame_raw`.
 ``--last-event-id N`` resumes mid-replay precisely like the live
 header: the output is the recorded stream's suffix after id ``N``.
 
@@ -35,8 +35,8 @@ from repro.store.runstore import DEFAULT_STORE_PATH, RunStore
 
 
 def frame_raw(event_id: int, name: str, payload: str, jsonl: bool) -> str:
-    """Frame one stored ``(id, event, payload)`` row as the live
-    server framed it — without re-encoding the payload."""
+    """Frame one ``(id, event, payload)`` row — a stored one, or a
+    live server's log row — without re-encoding the payload."""
     if jsonl:
         return payload + "\n"
     return f"id: {event_id}\nevent: {name}\ndata: {payload}\n\n"

@@ -184,11 +184,15 @@ class RunStore:
                 ),
             )
 
-    def append_event(self, run_id: str, stamped: Mapping[str, Any]) -> None:
+    def append_event(
+        self, run_id: str, stamped: Mapping[str, Any],
+        line: str | None = None,
+    ) -> None:
         """Persist one server-stamped wire event (``id`` assigned).
 
         The canonical JSON line is stored verbatim, so replay emits
-        the recorded bytes exactly.
+        the recorded bytes exactly.  ``line`` is that line when the
+        caller has already encoded ``stamped`` (``codec.to_json``).
         """
         event_id = stamped.get("id")
         if not isinstance(event_id, int):
@@ -205,7 +209,7 @@ class RunStore:
                     event_id,
                     int(stamped.get("seq", 0)),
                     str(stamped.get("event", "")),
-                    codec.to_json(stamped),
+                    line if line is not None else codec.to_json(stamped),
                 ),
             )
 
