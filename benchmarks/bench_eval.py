@@ -45,17 +45,19 @@ BATCH_ROUNDS = 3
 BATCHED_SPEEDUP_GATE = 0.9
 """Batching must not regress the serial loop beyond timer noise.
 
-The 2x aspiration assumes stacked GEMMs recover multi-core BLAS
-utilization that per-sample GEMMs leave idle; on a single-core host
-both paths hit the same BLAS floor, the matcher's gather traffic is
-identical by construction, and the measured gain is ~1.0-1.2x (batch
-plans amortize wavefront schedules and skip per-sample block copies).
-The recorded ``speedup`` tracks the real number per run; on hosts
-whose *measured* GEMM floor actually lifts under stacking
-(:class:`BlasMeasurement`), the gate rises to
-:data:`THREADED_SPEEDUP_GATE` — a >=1.0 wall-clock gate between two
-closely matched arms flaps on shared single-core runners, so the
-0.9x guard stays everywhere else."""
+Stacking pays off per method, not per host.  On a 2-vCPU host
+(OpenBLAS, 8 ragged samples in one process, 4 alternating runs per
+side) focus ran about 25% faster in stacks of 8 than one lane at a
+time (0.41-0.63 s against 0.54-0.77 s): batch plans amortize wavefront
+schedules and skip per-sample block copies.  Dense, with stacking
+forced on, ran about 25% slower (0.90-1.18 s against 0.73-0.87 s),
+which is why it runs one lane at a time.  This arm times focus; its
+gain spreads as widely as the host's speed, so the gate only guards
+against a regression: a >=1.0 wall-clock gate between two arms this
+close flaps on shared runners.  The recorded ``speedup`` tracks the
+real number per run; on hosts whose *measured* GEMM floor lifts under
+stacking (:class:`BlasMeasurement`), the gate rises to
+:data:`THREADED_SPEEDUP_GATE`."""
 
 THREADED_SPEEDUP_GATE = 1.1
 """The raised gate on hosts where stacked GEMMs measurably beat

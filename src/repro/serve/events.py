@@ -63,7 +63,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.engine.jobs import EvalJob, config_digest
+from repro.engine.jobs import EvalJob
 from repro.engine.scheduler import ProgressEvent
 
 EVENT_SCHEMA_VERSION = 2
@@ -101,7 +101,11 @@ def jsonify(value: Any) -> Any:
 
 
 def encode_job(job: EvalJob) -> dict[str, Any]:
-    """Encode a job's full identity (never its opaque payload)."""
+    """Encode a job's full identity (never its opaque payload).
+
+    The config digest is read from the job's cached key, so a stream
+    of events for one job hashes its config once, not once per event.
+    """
     return {
         "kind": job.kind,
         "model": job.model,
@@ -110,7 +114,7 @@ def encode_job(job: EvalJob) -> dict[str, Any]:
         "num_samples": job.num_samples,
         "seed": job.seed,
         "quantized": job.quantized,
-        "config_digest": config_digest(job.config),
+        "config_digest": job.key[6],
         "extra": jsonify(job.extra),
         "job_id": job.job_id,
         "label": job.describe(),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 from contextlib import asynccontextmanager
 
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ExperimentEngine, ResultCache
+from repro.engine import jobs as jobs_module
 from repro.engine.jobs import EvalJob, register_job_kind
 from repro.engine.registry import (
     EXPERIMENT_REGISTRY,
@@ -669,6 +671,53 @@ class TestHttpFrontend:
         assert terminal["reports"][TINY_NAME]["sha256"] == (
             codec.report_digest(expected)
         )
+
+    def test_warm_run_hashes_each_config_once(
+        self, tiny_experiment, monkeypatch
+    ):
+        """Encoding a progress event reads the job's cached config
+        digest: a warm run hashes no more configs than it builds jobs,
+        however many events it streams."""
+        calls = {"digests": 0, "jobs": 0}
+        digest = jobs_module.config_digest
+        build = EvalJob.__init__
+
+        def counted_digest(config):
+            calls["digests"] += 1
+            return digest(config)
+
+        def counted_build(self, *args, **kwargs):
+            calls["jobs"] += 1
+            build(self, *args, **kwargs)
+
+        async def run_once(port):
+            _, run = await _json_request(
+                port, "POST", "/runs",
+                {"experiments": [tiny_experiment], "samples": 2},
+            )
+            _, raw = await _request(
+                port, "GET", f"/runs/{run['run_id']}/events"
+            )
+            return codec.parse_sse(raw.decode())
+
+        async def scenario():
+            app = ServeApp(AsyncExperimentEngine(ExperimentEngine()))
+            async with serving(app) as (server, port):
+                await run_once(port)
+                # every binding, also names imported from the module
+                for module in list(sys.modules.values()):
+                    if getattr(module, "config_digest", None) is digest:
+                        monkeypatch.setattr(
+                            module, "config_digest", counted_digest
+                        )
+                monkeypatch.setattr(EvalJob, "__init__", counted_build)
+                return await run_once(port)
+
+        warm = asyncio.run(scenario())
+        actions = [e["action"] for e in warm if e["event"] == "progress"]
+        assert actions == ["cache-hit"] * 3
+        assert warm[-1]["event"] == "run-done"
+        assert 0 < calls["digests"] <= calls["jobs"]
 
     def test_result_conflicts_while_running_and_cancel(
         self, slow_experiment
