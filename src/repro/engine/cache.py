@@ -7,8 +7,14 @@ there is no invalidation logic, only keys that were never written.
 
 The memory tier makes any evaluation compute at most once per process;
 the disk tier (``cache_dir``) extends that across CLI invocations.
-Disk writes are atomic (temp file + rename) so a crashed run can never
-leave a truncated entry that poisons a later one.
+
+Bytes at rest live in a :class:`ByteStore`: one ``{job_id}.pkl`` file
+per entry, written atomically (temp file + rename) so a crashed run
+can never leave a truncated entry that poisons a later one, and
+optionally LRU size-capped.  It is the namespace's one storage path:
+the disk tier is a store, and ``repro cache-server``
+(:mod:`repro.remote.cache_server`) serves one over HTTP, so a
+``--cache-dir`` *is* a cache-server directory and vice versa.
 
 The optional **remote tier** (``remote``, a :class:`repro.remote.
 client.RemoteCacheClient` or anything duck-typing its
@@ -19,19 +25,14 @@ back-fills both local tiers; stores publish the same bytes
 *write-behind* on a daemon thread, so ``put`` latency never waits on
 the network (:meth:`ResultCache.flush_remote` drains the queue).  A
 failed verification degrades to a miss — corrupt remote bytes are
-never unpickled.  :meth:`ResultCache.prefetch` batches one
-``POST /cache/manifest`` existence check for a whole schedule so
-known-absent jobs skip the per-job round-trip entirely.
+never unpickled.  Disk and remote bytes are unpickled at one point,
+where an unloadable entry is a miss too.  :meth:`ResultCache.prefetch`
+batches one ``POST /cache/manifest`` existence check for a whole
+schedule so known-absent jobs skip the per-job round-trip entirely.
 
 The disk tier can be LRU size-capped (``max_disk_bytes``, the CLI's
-``--cache-max-mb``): every disk hit refreshes the entry's mtime as a
-``last_used`` stamp, and writes that push the tier over the cap prune
-least-recently-used entries until it fits again (down to
-:attr:`ResultCache.PRUNE_HEADROOM` of the cap, riding on an O(1)
-running byte total).  The memory tier is never pruned.  A concurrent
-pruner (another process sharing the directory) may delete an entry
-mid-hit — between the read and the ``last_used`` touch; the lookup
-then counts as a miss rather than resurrecting an evicted entry.
+``--cache-max-mb``); the policy is :class:`ByteStore`'s.  The memory
+tier is never pruned.
 
 :class:`CacheStats` counts every lookup per job *kind* as well as in
 total (``hits_by_kind`` / ``misses_by_kind``), so traffic of one kind
@@ -117,18 +118,157 @@ class CacheStats(Counters):
         return {**self._values(), "hit_rate": self.hit_rate}
 
 
+class ByteStore:
+    """A directory of byte entries keyed by job id, LRU size-capped.
+
+    Each entry is one ``{job_id}.pkl`` file, written atomically (temp
+    file + rename).  A read refreshes the entry's mtime as its
+    ``last_used`` stamp.  A write that pushes the store over
+    ``max_bytes`` evicts least-recently-used entries down to
+    :attr:`PRUNE_HEADROOM` of the cap.  The under-cap check rides on
+    a running byte total (computed lazily, then kept current under the
+    store's own lock), so writes never scan the directory until the
+    cap is hit.
+
+    A concurrent pruner (another process, or a sibling store on the
+    same directory) may delete an entry between the read and the
+    ``last_used`` touch.  That read is a miss — the eviction stands,
+    instead of the entry being resurrected — and the byte total, which
+    no longer matches the directory, is rescanned on next use.
+
+    Args:
+        root: The directory; created on first write.
+        max_bytes: Size cap; ``None`` leaves the store unbounded.
+    """
+
+    PRUNE_HEADROOM = 0.9
+    """Prune down to this fraction of the cap, so a saturated store
+    absorbs a batch of writes before the next directory scan."""
+
+    def __init__(
+        self, root: str | os.PathLike, max_bytes: int | None = None,
+    ) -> None:
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
+        self.root = Path(root)
+        self.max_bytes = max_bytes
+        self.evictions = 0
+        self._usage: int | None = None  # running total; lazy init
+        self._lock = threading.Lock()
+
+    def path(self, job_id: str) -> Path:
+        return self.root / f"{job_id}.pkl"
+
+    def get(self, job_id: str) -> bytes | None:
+        """The entry's bytes, or ``None`` when absent or just evicted."""
+        path = self.path(job_id)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            os.utime(path)  # refresh the last_used stamp
+        except FileNotFoundError:
+            with self._lock:
+                self._usage = None
+            return None
+        except OSError:
+            pass
+        return data
+
+    def head(self, job_id: str) -> int | None:
+        """The entry's size, or ``None`` when absent."""
+        try:
+            return self.path(job_id).stat().st_size
+        except OSError:
+            return None
+
+    def put(self, job_id: str, data: bytes) -> int:
+        """Atomically store ``data``; returns the entries evicted."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            with self._lock:
+                counted = self._usage is not None
+                old_size = (self.head(job_id) or 0) if counted else 0
+                os.replace(tmp, self.path(job_id))
+                if counted:
+                    self._usage += len(data) - old_size
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        return self.prune()
+
+    def discard(self, job_id: str) -> None:
+        """Remove an entry, if present."""
+        with self._lock:
+            size = self.head(job_id)
+            self.path(job_id).unlink(missing_ok=True)
+            if self._usage is not None and size is not None:
+                self._usage = max(0, self._usage - size)
+
+    def _entries(self) -> list[tuple[Path, float, int]]:
+        """Entries as ``(path, last_used_mtime, size)`` tuples."""
+        if not self.root.is_dir():
+            return []
+        entries = []
+        for path in self.root.glob("*.pkl"):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # concurrently evicted by another process
+            entries.append((path, stat.st_mtime, stat.st_size))
+        return entries
+
+    def count(self) -> int:
+        """Number of entries (scans the directory)."""
+        return len(self._entries())
+
+    def usage(self) -> int:
+        """Total size of the entries (running total)."""
+        with self._lock:
+            if self._usage is None:
+                self._usage = sum(size for _, _, size in self._entries())
+            return self._usage
+
+    def prune(self) -> int:
+        """Evict LRU entries until the store fits ``max_bytes``.
+
+        Entries are ranked by mtime, the ``last_used`` stamp.  Returns
+        the number of entries evicted.
+        """
+        if self.max_bytes is None or self.usage() <= self.max_bytes:
+            return 0
+        with self._lock:
+            entries = self._entries()
+            total = sum(size for _, _, size in entries)
+            target = int(self.max_bytes * self.PRUNE_HEADROOM)
+            evicted = 0
+            for path, _, size in sorted(entries, key=lambda e: e[1]):
+                if total <= target:
+                    break
+                path.unlink(missing_ok=True)
+                total -= size
+                evicted += 1
+            self._usage = total
+            self.evictions += evicted
+            return evicted
+
+
 class ResultCache:
     """Tiered (memory → disk → remote) content-addressed result cache.
 
     Args:
-        cache_dir: Directory for the disk tier; ``None`` keeps the
-            cache memory-only.  Created on first write.
+        cache_dir: Directory for the disk tier (a :class:`ByteStore`,
+            kept as :attr:`disk`); ``None`` keeps the cache
+            memory-only.  Created on first write.
         enabled: When ``False`` every lookup misses and nothing is
             stored (the CLI's ``--no-cache``).
-        max_disk_bytes: Size cap for the disk tier.  Writes that push
-            the tier over the cap evict least-recently-*used* entries
-            (disk hits refresh an entry's mtime) until it fits again;
-            ``None`` leaves the tier unbounded.
+        max_disk_bytes: Size cap for the disk tier (the store's
+            ``max_bytes``: LRU eviction, disk hits refresh an entry's
+            ``last_used``); ``None`` leaves the tier unbounded.
         remote: Optional remote tier client (a :class:`repro.remote.
             client.RemoteCacheClient`, or anything with its
             ``get``/``put``/``manifest`` surface).  Lookups that miss
@@ -143,15 +283,16 @@ class ResultCache:
         max_disk_bytes: int | None = None,
         remote: Any | None = None,
     ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.enabled = enabled
         if max_disk_bytes is not None and max_disk_bytes < 0:
             raise ValueError("max_disk_bytes must be >= 0")
-        self.max_disk_bytes = max_disk_bytes
+        self.disk = (
+            ByteStore(cache_dir, max_disk_bytes)
+            if cache_dir is not None else None
+        )
+        self.enabled = enabled
         self.remote = remote
         self.stats = CacheStats()
         self._memory: dict[str, Any] = {}
-        self._disk_usage: int | None = None  # running total; lazy init
         self._lock = threading.RLock()
         # Remote-tier state: manifest knowledge (True = present, False
         # = known absent → skip the GET) and the write-behind queue of
@@ -160,10 +301,6 @@ class ResultCache:
         self._remote_known: dict[str, bool] = {}
         self._publish_queue: queue.Queue | None = None
         self._publish_thread: threading.Thread | None = None
-
-    def _path(self, job: EvalJob) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{job.job_id}.pkl"
 
     def get(self, job: EvalJob) -> Any:
         """Return the cached payload for ``job`` or :data:`MISS`."""
@@ -187,60 +324,58 @@ class ResultCache:
             self.stats._note(job.kind, hit=True)
             self.stats.memory_hits += 1
             return payload, "memory"
-        if self.cache_dir is not None:
-            path = self._path(job)
-            if path.exists():
-                try:
-                    with path.open("rb") as fh:
-                        payload = pickle.load(fh)
-                except (OSError, pickle.UnpicklingError, EOFError,
-                        AttributeError, ImportError):
-                    # Unreadable entry: drop it and recompute.
-                    self._note_removed(path)
-                    path.unlink(missing_ok=True)
-                else:
-                    try:
-                        os.utime(path)  # refresh the last_used stamp
-                    except FileNotFoundError:
-                        # A concurrent pruner (another process, or the
-                        # LRU eviction of a sibling cache on the same
-                        # directory) deleted the entry between the
-                        # read and the touch.  Honor the eviction:
-                        # treat the lookup as a miss instead of
-                        # resurrecting a deliberately dropped entry,
-                        # and rescan the tier lazily — the running
-                        # byte total no longer matches the directory.
-                        self._disk_usage = None
-                        self.stats._note(job.kind, hit=False)
-                        return MISS, None
-                    except OSError:
-                        pass
-                    self._memory[job.job_id] = payload
-                    self.stats._note(job.kind, hit=True)
-                    self.stats.disk_hits += 1
-                    return payload, "disk"
-        payload = self._remote_lookup(job)
+        if self.disk is not None:
+            data = self.disk.get(job.job_id)
+            payload = MISS if data is None else self._loads(data)
+            if payload is not MISS:
+                self._memory[job.job_id] = payload
+                self.stats._note(job.kind, hit=True)
+                self.stats.disk_hits += 1
+                return payload, "disk"
+            if data is not None:
+                # Unloadable entry: drop it and recompute.
+                self.disk.discard(job.job_id)
+        data = self._remote_get(job.job_id)
+        payload = MISS if data is None else self._loads(data)
         if payload is not MISS:
+            self._memory[job.job_id] = payload
             self.stats._note(job.kind, hit=True)
             self.stats.remote_hits += 1
+            self._remote_known.pop(job.job_id, None)
+            if self.disk is not None:
+                # Back-fill the disk tier with the exact received bytes
+                # so all three tiers hold identical canonical entries.
+                self.stats.disk_evictions += self.disk.put(
+                    job.job_id, data
+                )
             return payload, "remote"
+        if data is not None:
+            # Unloadable remote bytes: remember the id absent.
+            self.stats.remote_errors += 1
+            self._remote_known[job.job_id] = False
         self.stats._note(job.kind, hit=False)
         return MISS, None
 
-    def _remote_lookup(self, job: EvalJob) -> Any:
-        """Fetch from the remote tier and back-fill the local ones.
-
-        Corrupt bytes (failed sha256 verification or an unloadable
-        pickle) degrade to a miss; a miss or transport failure marks
-        the id known-absent so repeat lookups skip the round-trip
-        (:meth:`prefetch` pre-marks whole schedules in one request).
-        """
-        if self.remote is None:
-            return MISS
-        if self._remote_known.get(job.job_id) is False:
-            return MISS
+    @staticmethod
+    def _loads(data: bytes) -> Any:
+        """Unpickle one tier's bytes; unloadable bytes are a miss."""
         try:
-            data = self.remote.get(job.job_id)
+            return pickle.loads(data)
+        except Exception:
+            return MISS
+
+    def _remote_get(self, job_id: str) -> bytes | None:
+        """Fetch verified bytes from the remote tier, or ``None``.
+
+        A failed sha256 verification is a miss; a miss or transport
+        failure marks the id known-absent so repeat lookups skip the
+        round-trip (:meth:`prefetch` pre-marks whole schedules in one
+        request).
+        """
+        if self.remote is None or self._remote_known.get(job_id) is False:
+            return None
+        try:
+            data = self.remote.get(job_id)
         except Exception as exc:
             from repro.remote.client import RemoteCacheVerificationError
 
@@ -250,21 +385,8 @@ class ResultCache:
                 self.stats.remote_errors += 1
             data = None
         if data is None:
-            self._remote_known[job.job_id] = False
-            return MISS
-        try:
-            payload = pickle.loads(data)
-        except Exception:
-            self.stats.remote_errors += 1
-            self._remote_known[job.job_id] = False
-            return MISS
-        self._remote_known.pop(job.job_id, None)
-        self._memory[job.job_id] = payload
-        if self.cache_dir is not None:
-            # Back-fill the disk tier with the exact received bytes so
-            # all three tiers hold identical canonical entries.
-            self._write_disk(job, data)
-        return payload
+            self._remote_known[job_id] = False
+        return data
 
     def put(
         self, job: EvalJob, payload: Any, publish: bool = True
@@ -287,35 +409,15 @@ class ResultCache:
         self._memory[job.job_id] = payload
         self.stats.stores += 1
         data: bytes | None = None
-        if self.cache_dir is not None or (
+        if self.disk is not None or (
             publish and self.remote is not None
         ):
             data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        if self.cache_dir is not None:
-            self._write_disk(job, data)
+        if self.disk is not None:
+            self.stats.disk_evictions += self.disk.put(job.job_id, data)
         if publish and self.remote is not None:
             self._remote_known.pop(job.job_id, None)
             self._enqueue_publish(job.job_id, data)
-
-    def _write_disk(self, job: EvalJob, data: bytes) -> None:
-        """Atomically write one entry's canonical bytes to disk."""
-        assert self.cache_dir is not None
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, suffix=".tmp"
-        )
-        path = self._path(job)
-        old_size = self._entry_size(path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        if self._disk_usage is not None:
-            self._disk_usage += self._entry_size(path) - old_size
-        self.prune_disk()
 
     # -- remote tier --------------------------------------------------
 
@@ -373,8 +475,8 @@ class ResultCache:
                 if job.job_id in self._remote_known:
                     continue
                 if (
-                    self.cache_dir is not None
-                    and self._path(job).exists()
+                    self.disk is not None
+                    and self.disk.head(job.job_id) is not None
                 ):
                     continue
                 wanted.setdefault(job.job_id, None)
@@ -390,87 +492,6 @@ class ResultCache:
             for job_id in wanted:
                 self._remote_known[job_id] = job_id in present
         return len(present & set(wanted))
-
-    @staticmethod
-    def _entry_size(path: Path) -> int:
-        try:
-            return path.stat().st_size
-        except OSError:
-            return 0
-
-    def _note_removed(self, path: Path) -> None:
-        """Keep the running total current when an entry is dropped."""
-        if self._disk_usage is not None:
-            self._disk_usage = max(
-                0, self._disk_usage - self._entry_size(path)
-            )
-
-    def disk_usage_bytes(self) -> int:
-        """Total size of the disk tier's entries (running total)."""
-        if self.cache_dir is None:
-            return 0
-        if self._disk_usage is None:
-            if not self.cache_dir.is_dir():
-                return 0
-            self._disk_usage = sum(
-                size for _, _, size in self._disk_entries()
-            )
-        return self._disk_usage
-
-    def _disk_entries(self) -> list[tuple[Path, float, int]]:
-        """Disk entries as ``(path, last_used_mtime, size)`` tuples."""
-        assert self.cache_dir is not None
-        entries = []
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently evicted by another process
-            entries.append((path, stat.st_mtime, stat.st_size))
-        return entries
-
-    PRUNE_HEADROOM = 0.9
-    """Prune down to this fraction of the cap, so a saturated cache
-    absorbs a batch of writes before the next directory scan."""
-
-    def prune_disk(self) -> int:
-        """Evict LRU disk entries until the tier fits ``max_disk_bytes``.
-
-        Entries are ranked by mtime, which doubles as the ``last_used``
-        stamp (refreshed on every disk hit).  The memory tier is
-        untouched — an evicted entry already loaded this session stays
-        hot.  Returns the number of entries evicted.
-
-        The under-cap check rides on a running byte total, so puts are
-        O(1) until the cap is hit; only an actual prune scans the
-        directory (and evicts down to :attr:`PRUNE_HEADROOM` of the
-        cap, not just below it, to keep scans rare at saturation).
-        """
-        if (
-            self.max_disk_bytes is None
-            or self.cache_dir is None
-            or not self.cache_dir.is_dir()
-        ):
-            return 0
-        with self._lock:
-            return self._prune_disk_locked()
-
-    def _prune_disk_locked(self) -> int:
-        if self.disk_usage_bytes() <= self.max_disk_bytes:
-            return 0
-        entries = self._disk_entries()
-        total = sum(size for _, _, size in entries)
-        target = int(self.max_disk_bytes * self.PRUNE_HEADROOM)
-        evicted = 0
-        for path, _, size in sorted(entries, key=lambda e: e[1]):
-            if total <= target:
-                break
-            path.unlink(missing_ok=True)
-            total -= size
-            evicted += 1
-        self._disk_usage = total
-        self.stats.disk_evictions += evicted
-        return evicted
 
     def clear_memory(self) -> None:
         """Drop the memory tier (disk entries survive)."""

@@ -1,11 +1,10 @@
 """``repro cache-server``: a content-addressed HTTP object store.
 
 The fleet's shared result namespace.  Objects are the canonical
-payload bytes of :mod:`repro.remote.protocol`, keyed by job id, laid
-out on disk exactly like a :class:`~repro.engine.cache.ResultCache`
-disk tier (one ``{job_id}.pkl`` per object, atomic tmp-file + rename
-writes) — pointing a cache server at an existing ``--cache-dir``
-publishes it to the fleet as-is.
+payload bytes of :mod:`repro.remote.protocol`, keyed by job id and
+kept in a :class:`~repro.engine.cache.ByteStore`, the same store as a
+:class:`~repro.engine.cache.ResultCache` disk tier — pointing a cache
+server at an existing ``--cache-dir`` publishes it to the fleet as-is.
 
 Routes:
 
@@ -26,11 +25,11 @@ Routes:
 ``GET /healthz``
     Liveness plus object count and byte total.
 
-Storage is size-capped like the disk cache tier (``--max-mb``):
-least-recently-used objects (GET refreshes mtime) are pruned when a
-write pushes the store over the cap.  The server is single-process
-asyncio over the shared plumbing in :mod:`repro.serve.http`; storage
-calls are cheap local file I/O performed inline.
+``--max-mb`` caps the store's size; the eviction policy is the
+store's (least recently used first, a GET counts as a use).  The
+server is single-process asyncio over the shared plumbing in
+:mod:`repro.serve.http`; storage calls are cheap local file I/O
+performed inline.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ import asyncio
 import json
 import os
 import sys
-import tempfile
 import threading
-from pathlib import Path
-from typing import Iterable
 from urllib.parse import urlsplit
 
+from repro.engine.cache import ByteStore
 from repro.remote import protocol
 from repro.serve.http import (
     HttpError,
@@ -58,120 +55,11 @@ DEFAULT_PORT = 8378
 MAX_OBJECT_BYTES = 1 << 30
 """Upload ceiling (1 GiB): rejects runaway bodies before buffering."""
 
-PRUNE_HEADROOM = 0.9
-"""Prune down to this fraction of the cap (mirrors the disk tier)."""
-
-
-class ObjectStore:
-    """Directory-backed content-addressed object storage.
-
-    Thread-safe (one lock around the running byte total) although the
-    asyncio server drives it from a single thread; tests and embedded
-    uses may not.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, max_bytes: int | None = None,
-    ) -> None:
-        self.root = Path(root)
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._usage: int | None = None  # lazy running total
-        self.evictions = 0
-
-    def _path(self, job_id: str) -> Path:
-        return self.root / f"{job_id}.pkl"
-
-    def get(self, job_id: str) -> bytes | None:
-        path = self._path(job_id)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            os.utime(path)  # refresh the last_used stamp
-        except OSError:
-            pass
-        return data
-
-    def head(self, job_id: str) -> int | None:
-        """The object's size, or ``None`` when absent."""
-        try:
-            return self._path(job_id).stat().st_size
-        except OSError:
-            return None
-
-    def put(self, job_id: str, data: bytes) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        path = self._path(job_id)
-        old_size = self.head(job_id) or 0
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        with self._lock:
-            if self._usage is not None:
-                self._usage += len(data) - old_size
-        self.prune()
-
-    def present(self, job_ids: Iterable[str]) -> list[str]:
-        return [job_id for job_id in job_ids
-                if self.head(job_id) is not None]
-
-    def _entries(self) -> list[tuple[Path, float, int]]:
-        entries = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((path, stat.st_mtime, stat.st_size))
-        return entries
-
-    def usage_bytes(self) -> int:
-        with self._lock:
-            if self._usage is None:
-                self._usage = (
-                    sum(size for _, _, size in self._entries())
-                    if self.root.is_dir() else 0
-                )
-            return self._usage
-
-    def object_count(self) -> int:
-        return len(self._entries()) if self.root.is_dir() else 0
-
-    def prune(self) -> int:
-        """Evict LRU objects until the store fits ``max_bytes``."""
-        if self.max_bytes is None or not self.root.is_dir():
-            return 0
-        if self.usage_bytes() <= self.max_bytes:
-            return 0
-        with self._lock:
-            entries = self._entries()
-            total = sum(size for _, _, size in entries)
-            target = int(self.max_bytes * PRUNE_HEADROOM)
-            evicted = 0
-            for path, _, size in sorted(entries, key=lambda e: e[1]):
-                if total <= target:
-                    break
-                path.unlink(missing_ok=True)
-                total -= size
-                evicted += 1
-            self._usage = total
-            self.evictions += evicted
-            return evicted
-
 
 class CacheServerApp:
-    """Routing over one :class:`ObjectStore`."""
+    """Routing over one :class:`~repro.engine.cache.ByteStore`."""
 
-    def __init__(self, store: ObjectStore) -> None:
+    def __init__(self, store: ByteStore) -> None:
         self.store = store
 
     async def handle_client(
@@ -219,8 +107,8 @@ class CacheServerApp:
         if parts == ["healthz"] and method == "GET":
             await respond_json(writer, 200, {
                 "ok": True,
-                "objects": self.store.object_count(),
-                "bytes": self.store.usage_bytes(),
+                "objects": self.store.count(),
+                "bytes": self.store.usage(),
                 "evictions": self.store.evictions,
             })
         elif len(parts) == 2 and parts[0] == "cache" \
@@ -305,9 +193,9 @@ class CacheServerApp:
                if not protocol.valid_job_id(job_id)]
         if bad:
             raise HttpError(400, f"malformed object ids: {bad[:5]}")
-        await respond_json(
-            writer, 200, {"present": self.store.present(job_ids)}
-        )
+        present = [job_id for job_id in job_ids
+                   if self.store.head(job_id) is not None]
+        await respond_json(writer, 200, {"present": present})
 
 
 async def serve(
@@ -319,7 +207,7 @@ async def serve(
     addr = server.sockets[0].getsockname()
     print(
         f"repro-cache-server listening on http://{addr[0]}:{addr[1]} "
-        f"({app.store.object_count()} objects)",
+        f"({app.store.count()} objects)",
         file=sys.stderr, flush=True,
     )
     if ready is not None:
@@ -341,7 +229,7 @@ class BackgroundCacheServer:
     def __init__(
         self, root: str | os.PathLike, max_bytes: int | None = None,
     ) -> None:
-        self.store = ObjectStore(root, max_bytes=max_bytes)
+        self.store = ByteStore(root, max_bytes)
         self.url: str = ""
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -389,6 +277,8 @@ class BackgroundCacheServer:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cli import nonnegative_float
+
     parser = argparse.ArgumentParser(
         prog="repro.cli cache-server",
         description="Serve a content-addressed result-cache object "
@@ -403,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="object storage directory (default: "
                              "repro-remote-cache; a ResultCache "
                              "--cache-dir works as-is)")
-    parser.add_argument("--max-mb", type=float, default=None,
+    parser.add_argument("--max-mb", type=nonnegative_float, default=None,
                         help="LRU size cap for the store, in megabytes")
     return parser
 
@@ -413,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     max_bytes = (
         int(args.max_mb * 1e6) if args.max_mb is not None else None
     )
-    app = CacheServerApp(ObjectStore(args.dir, max_bytes=max_bytes))
+    app = CacheServerApp(ByteStore(args.dir, max_bytes))
     try:
         asyncio.run(serve(app, args.host, args.port))
     except KeyboardInterrupt:

@@ -1,16 +1,18 @@
-"""Blocking HTTP client for the remote cache tier.
+"""Blocking HTTP clients of the fleet: the endpoint core and the cache
+tier's client.
+
+:class:`Endpoint` is what both fleet clients share: a checked base
+URL, one-shot ``http.client`` requests (the servers close after every
+response anyway), and a cooldown that marks a flaky server *down* so
+a dead server costs one timeout — not one timeout per request.
+:class:`~repro.remote.dispatch.PeerClient` ships job batches on it.
 
 :class:`RemoteCacheClient` is what a :class:`~repro.engine.cache.
-ResultCache` mounts as its third tier.  It is deliberately boring:
-``http.client`` over one-shot connections (the servers close after
-every response anyway), a lock around the failure bookkeeping, and a
-cooldown that marks a flaky server *down* so a dead cache tier costs
-one timeout — not one timeout per job.
-
-Every ``get`` verifies the body's sha256 against the
-``X-Repro-Sha256`` header before returning it; a mismatch counts as a
-verification failure and reads as a miss.  Every ``put`` sends the
-digest so the server can refuse a corrupted upload.
+ResultCache` mounts as its third tier.  Every ``get`` verifies the
+body's sha256 against the ``X-Repro-Sha256`` header before returning
+it; a mismatch counts as a verification failure and reads as a miss.
+Every ``put`` sends the digest so the server can refuse a corrupted
+upload.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from urllib.parse import urlsplit
 from repro.remote import protocol
 
 DEFAULT_TIMEOUT = 5.0
-"""Per-request socket timeout (seconds)."""
-
-DOWN_AFTER_FAILURES = 3
-"""Consecutive transport failures before the server is marked down."""
-
-DOWN_COOLDOWN = 30.0
-"""Seconds to sit out before probing a down server again."""
+"""Per-request socket timeout of the cache client (seconds)."""
 
 
 class RemoteCacheError(Exception):
@@ -42,82 +38,114 @@ class RemoteCacheVerificationError(RemoteCacheError):
     """A fetched object failed sha256 verification — never unpickled."""
 
 
-class RemoteCacheClient:
-    """Thread-safe client for one cache server.
+class Endpoint:
+    """One ``http://host:port`` server and its failure bookkeeping.
 
-    All methods are non-raising in the hot path: transport failures
-    surface as ``None``/``False``/empty results and feed the
-    down-marking heuristic; only a malformed ``base_url`` raises, at
-    construction time, where argparse validation wants it.
+    ``DOWN_AFTER_FAILURES`` consecutive failures mark the server down
+    for ``DOWN_COOLDOWN`` seconds.  :meth:`request` notes transport
+    failures itself; callers note what else counts as a failure or a
+    success for them.  Subclasses set the constants and the
+    ``unreachable`` exception :meth:`request` raises.  Only a
+    malformed ``base_url`` raises at construction, where argparse
+    validation wants it.
     """
 
-    def __init__(
-        self, base_url: str, timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
+    unreachable: type[Exception]
+    DOWN_AFTER_FAILURES: int
+    DOWN_COOLDOWN = 30.0
+
+    def __init__(self, base_url: str) -> None:
         parts = urlsplit(base_url)
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError(
-                f"remote cache URL must look like http://host:port, "
+                f"{type(self).__name__} URL must look like http://host:port, "
                 f"got {base_url!r}"
             )
         self.base_url = base_url.rstrip("/")
         self.host = parts.hostname
         self.port = parts.port or 80
-        self.timeout = timeout
         self._lock = threading.Lock()
         self._failures = 0
         self._down_until = 0.0
-
-    # -- availability -------------------------------------------------
 
     def available(self) -> bool:
         """False while the server is sitting out a cooldown."""
         with self._lock:
             return time.monotonic() >= self._down_until
 
-    def _note_success(self) -> None:
+    def note_success(self) -> None:
         with self._lock:
             self._failures = 0
             self._down_until = 0.0
 
-    def _note_failure(self) -> None:
+    def note_failure(self) -> None:
         with self._lock:
             self._failures += 1
-            if self._failures >= DOWN_AFTER_FAILURES:
-                self._down_until = time.monotonic() + DOWN_COOLDOWN
+            if self._failures >= self.DOWN_AFTER_FAILURES:
+                self._down_until = time.monotonic() + self.DOWN_COOLDOWN
                 self._failures = 0
 
-    # -- request core -------------------------------------------------
-
-    def _request(
-        self, method: str, path: str, body: bytes | None = None,
-        headers: dict[str, str] | None = None,
+    def request(
+        self, method: str, path: str, body: bytes | None,
+        headers: dict[str, str] | None, timeout: float,
     ) -> tuple[int, dict[str, str], bytes]:
-        """One request; raises :class:`RemoteCacheError` on transport
-        trouble (and notes it for the down heuristic)."""
+        """One request: ``(status, lower-cased headers, body)``.
+
+        Raises ``unreachable`` on transport trouble, noted for the
+        down heuristic.
+        """
         conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+            self.host, self.port, timeout=timeout
         )
         try:
             conn.request(method, path, body=body, headers=headers or {})
             response = conn.getresponse()
-            data = b"" if method == "HEAD" else response.read()
+            data = response.read()
             out_headers = {
                 name.lower(): value
                 for name, value in response.getheaders()
             }
-            self._note_success()
             return response.status, out_headers, data
         except (OSError, http.client.HTTPException) as exc:
-            self._note_failure()
-            raise RemoteCacheError(
+            self.note_failure()
+            raise self.unreachable(
                 f"{method} {self.base_url}{path}: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
         finally:
             conn.close()
 
-    # -- cache operations ---------------------------------------------
+
+class RemoteCacheClient(Endpoint):
+    """Thread-safe client for one cache server.
+
+    All methods are non-raising in the hot path: transport failures
+    surface as ``None``/``False`` results and feed the down-marking
+    heuristic, and any answer counts as a success.
+    """
+
+    unreachable = RemoteCacheError
+    DOWN_AFTER_FAILURES = 3
+
+    def __init__(
+        self, base_url: str, timeout: float = DEFAULT_TIMEOUT,
+    ) -> None:
+        super().__init__(base_url)
+        self.timeout = timeout
+
+    def _call(
+        self, method: str, path: str, body: bytes | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[int, dict[str, str], bytes] | None:
+        """One request, or ``None`` while down or on transport failure."""
+        if not self.available():
+            return None
+        try:
+            answer = self.request(method, path, body, headers, self.timeout)
+        except RemoteCacheError:
+            return None
+        self.note_success()
+        return answer
 
     def get(self, job_id: str) -> bytes | None:
         """Fetch and digest-verify an object.
@@ -127,16 +155,10 @@ class RemoteCacheClient:
         does not match the server's claim — the bytes never reach a
         ``pickle.loads``.
         """
-        if not self.available():
+        answer = self._call("GET", f"/cache/{job_id}")
+        if answer is None or answer[0] != 200:
             return None
-        try:
-            status, headers, data = self._request(
-                "GET", f"/cache/{job_id}"
-            )
-        except RemoteCacheError:
-            return None
-        if status != 200:
-            return None
+        _, headers, data = answer
         claimed = headers.get(protocol.DIGEST_HEADER)
         actual = protocol.payload_digest(data)
         if claimed is not None and claimed != actual:
@@ -146,57 +168,32 @@ class RemoteCacheClient:
             )
         return data
 
-    def head(self, job_id: str) -> bool:
-        if not self.available():
-            return False
-        try:
-            status, _, _ = self._request("HEAD", f"/cache/{job_id}")
-        except RemoteCacheError:
-            return False
-        return status == 200
-
     def put(self, job_id: str, data: bytes) -> bool:
         """Publish an object (digest attached); False on any failure."""
-        if not self.available():
-            return False
-        try:
-            status, _, _ = self._request(
-                "PUT", f"/cache/{job_id}", body=data,
-                headers={
-                    protocol.DIGEST_HEADER:
-                        protocol.payload_digest(data),
-                    "Content-Type": "application/octet-stream",
-                },
-            )
-        except RemoteCacheError:
-            return False
-        return status == 200
+        answer = self._call(
+            "PUT", f"/cache/{job_id}", body=data,
+            headers={
+                protocol.DIGEST_HEADER: protocol.payload_digest(data),
+                "Content-Type": "application/octet-stream",
+            },
+        )
+        return answer is not None and answer[0] == 200
 
     def manifest(self, job_ids: Iterable[str]) -> set[str] | None:
         """Batched existence check; ``None`` when the server can't
         answer (callers fall back to per-job GET attempts)."""
         ids = list(job_ids)
-        if not ids or not self.available():
-            return None if not self.available() else set()
-        body = json.dumps({"job_ids": ids}).encode("utf-8")
-        try:
-            status, _, data = self._request(
-                "POST", "/cache/manifest", body=body,
-                headers={"Content-Type": "application/json"},
-            )
-        except RemoteCacheError:
-            return None
-        if status != 200:
+        if not ids:
+            return set()
+        answer = self._call(
+            "POST", "/cache/manifest",
+            body=json.dumps({"job_ids": ids}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        if answer is None or answer[0] != 200:
             return None
         try:
-            present = json.loads(data)["present"]
+            present = json.loads(answer[2])["present"]
         except (json.JSONDecodeError, KeyError, TypeError):
             return None
         return set(present)
-
-    def healthy(self) -> bool:
-        try:
-            status, _, _ = self._request("GET", "/healthz")
-        except RemoteCacheError:
-            return False
-        return status == 200

@@ -16,37 +16,26 @@ entries out) and raises :class:`~repro.engine.faults.PeerUnreachable`
 on any transport-, status-, or decode-level trouble — the scheduler
 then requeues the batch for local execution without penalty, exactly
 like a crashed worker's cohort.  A peer that keeps failing is marked
-*down* and sits out a cooldown so one dead host costs one timeout per
-batch, not per job.
+*down* and sits out a cooldown (the :class:`~repro.remote.client.
+Endpoint` core) so one dead host costs one timeout per batch, not per
+job.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
-import threading
-import time
 from typing import Iterable, Sequence
-from urllib.parse import urlsplit
 
 from repro.engine.faults import PeerUnreachable
 from repro.engine.jobs import EvalJob
 from repro.remote import protocol
+from repro.remote.client import Endpoint
 
 LOCAL_NODE = "local"
 """The coordinator's own name in the rendezvous node set."""
 
-CONNECT_TIMEOUT = 5.0
-"""Seconds to establish a connection / read a health probe."""
-
 EXECUTE_TIMEOUT = 600.0
 """Seconds for a shipped batch to come back (jobs do real work)."""
-
-DOWN_AFTER_FAILURES = 2
-"""Consecutive batch failures before a peer is marked down."""
-
-DOWN_COOLDOWN = 30.0
-"""Seconds a down peer sits out before being probed again."""
 
 
 def rendezvous_owner(job_id: str, nodes: Sequence[str]) -> str:
@@ -66,53 +55,20 @@ def rendezvous_owner(job_id: str, nodes: Sequence[str]) -> str:
     )
 
 
-class PeerClient:
+class PeerClient(Endpoint):
     """Blocking client for one ``repro serve`` peer's job endpoint."""
 
+    unreachable = PeerUnreachable
+    DOWN_AFTER_FAILURES = 2
+
     def __init__(
-        self,
-        base_url: str,
-        connect_timeout: float = CONNECT_TIMEOUT,
-        execute_timeout: float = EXECUTE_TIMEOUT,
+        self, base_url: str, execute_timeout: float = EXECUTE_TIMEOUT,
     ) -> None:
-        parts = urlsplit(base_url)
-        if parts.scheme != "http" or not parts.hostname:
-            raise ValueError(
-                f"peer URL must look like http://host:port, "
-                f"got {base_url!r}"
-            )
-        self.base_url = base_url.rstrip("/")
-        self.host = parts.hostname
-        self.port = parts.port or 80
-        self.connect_timeout = connect_timeout
+        super().__init__(base_url)
         self.execute_timeout = execute_timeout
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._down_until = 0.0
 
     def __repr__(self) -> str:
         return f"PeerClient({self.base_url!r})"
-
-    # -- availability -------------------------------------------------
-
-    def available(self) -> bool:
-        """False while the peer is sitting out a failure cooldown."""
-        with self._lock:
-            return time.monotonic() >= self._down_until
-
-    def note_success(self) -> None:
-        with self._lock:
-            self._failures = 0
-            self._down_until = 0.0
-
-    def note_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._failures >= DOWN_AFTER_FAILURES:
-                self._down_until = time.monotonic() + DOWN_COOLDOWN
-                self._failures = 0
-
-    # -- wire ---------------------------------------------------------
 
     def execute(self, jobs: Sequence[EvalJob]) -> dict[str, tuple]:
         """Ship a batch; return per-job result entries by job id.
@@ -124,26 +80,11 @@ class PeerClient:
         payload digests are *not* verified here; the scheduler checks
         them before accepting a payload.
         """
-        body = protocol.encode_jobs(jobs)
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.execute_timeout
+        status, _, data = self.request(
+            "POST", "/jobs", protocol.encode_jobs(jobs),
+            {"Content-Type": "application/octet-stream"},
+            self.execute_timeout,
         )
-        try:
-            conn.request(
-                "POST", "/jobs", body=body,
-                headers={"Content-Type": "application/octet-stream"},
-            )
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (OSError, http.client.HTTPException) as exc:
-            self.note_failure()
-            raise PeerUnreachable(
-                f"POST {self.base_url}/jobs: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
-            conn.close()
         if status != 200:
             self.note_failure()
             raise PeerUnreachable(
@@ -159,21 +100,6 @@ class PeerClient:
             ) from exc
         self.note_success()
         return entries
-
-    def healthy(self) -> bool:
-        """Probe ``GET /healthz`` with the short connect timeout."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.connect_timeout
-        )
-        try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            response.read()
-            return response.status == 200
-        except (OSError, http.client.HTTPException):
-            return False
-        finally:
-            conn.close()
 
 
 class FleetDispatcher:

@@ -198,7 +198,9 @@ class TestDiskCacheLru:
         for index, job in enumerate(jobs):
             writer.put(job, b"x" * payload_bytes)
             # Deterministic last_used ordering: job i used at base + i.
-            os.utime(writer._path(job), (base + index, base + index))
+            os.utime(
+                writer.disk.path(job.job_id), (base + index, base + index)
+            )
         return writer
 
     def test_put_prunes_oldest_entries(self, tmp_path):
@@ -208,11 +210,11 @@ class TestDiskCacheLru:
         new_job = _job(seed=99)
         cache.put(new_job, b"x" * 2000)
         # ~2KB each under a 5KB cap: only the most recent two survive.
-        assert cache._path(new_job).exists()
-        assert cache._path(jobs[0]).exists() is False
-        assert cache._path(jobs[1]).exists() is False
+        assert cache.disk.path(new_job.job_id).exists()
+        assert cache.disk.path(jobs[0].job_id).exists() is False
+        assert cache.disk.path(jobs[1].job_id).exists() is False
         assert cache.stats.disk_evictions >= 2
-        assert cache.disk_usage_bytes() <= 5000
+        assert cache.disk.usage() <= 5000
 
     def test_disk_hit_refreshes_last_used(self, tmp_path):
         jobs = [_job(seed=s) for s in range(3)]
@@ -222,15 +224,15 @@ class TestDiskCacheLru:
         assert fresh.get(jobs[0]) is not MISS
         fresh.put(_job(seed=99), b"x" * 2000)
         # jobs[0] was just used, so jobs[1] is now the LRU victim.
-        assert fresh._path(jobs[0]).exists()
-        assert fresh._path(jobs[1]).exists() is False
+        assert fresh.disk.path(jobs[0].job_id).exists()
+        assert fresh.disk.path(jobs[1].job_id).exists() is False
 
     def test_memory_tier_survives_disk_eviction(self, tmp_path):
         jobs = [_job(seed=s) for s in range(3)]
         cache = self._fill(tmp_path, jobs)
-        cache.max_disk_bytes = 2500
-        assert cache.prune_disk() >= 1
-        assert cache._path(jobs[0]).exists() is False
+        cache.disk.max_bytes = 2500
+        assert cache.disk.prune() >= 1
+        assert cache.disk.path(jobs[0].job_id).exists() is False
         # Evicted from disk, but this session already paid for them.
         assert cache.get(jobs[0]) is not MISS
         assert cache.stats.memory_hits == 1
@@ -247,7 +249,7 @@ class TestDiskCacheLru:
         job = _job()
         ResultCache(cache_dir=tmp_path).put(job, "payload")
         cache = ResultCache(cache_dir=tmp_path)
-        cache.disk_usage_bytes()  # materialize the running byte total
+        cache.disk.usage()  # materialize the running byte total
         real_utime = os.utime
 
         def racing_utime(path, *args, **kwargs):
@@ -266,15 +268,13 @@ class TestDiskCacheLru:
         cache.put(job, "payload")
         assert cache.get(job) == "payload"
         # ... and the byte total was invalidated, not left stale.
-        assert cache.disk_usage_bytes() == (
-            cache._entry_size(cache._path(job))
-        )
+        assert cache.disk.usage() == cache.disk.head(job.job_id)
 
     def test_uncapped_cache_never_prunes(self, tmp_path):
         jobs = [_job(seed=s) for s in range(4)]
         cache = self._fill(tmp_path, jobs)
-        assert cache.prune_disk() == 0
-        assert all(cache._path(j).exists() for j in jobs)
+        assert cache.disk.prune() == 0
+        assert all(cache.disk.path(j.job_id).exists() for j in jobs)
 
     def test_negative_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_disk_bytes"):

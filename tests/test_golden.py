@@ -9,8 +9,9 @@ cells at one sample per cell, and 103 disk-cache entries.  The second
 entry is also checked under execution knobs: ``--forward-batch 2``
 (two-lane stacks), ``--workers 1`` (the inline executor instead of
 the default pool), a fault plan that makes the pool retry failed
-attempts and recover from worker crashes, and ``--peers`` with one
-live ``repro serve`` peer.
+attempts and recover from worker crashes, ``--peers`` with one live
+``repro serve`` peer, and ``--remote-cache`` to a live cache server,
+cold and then warm on a fresh ``--cache-dir``.
 A refactor that changes any report's bytes fails here; refresh the
 ledger only for an intended change, with
 ``scripts/refresh_golden.py --reason TEXT``.
@@ -27,6 +28,7 @@ import pytest
 
 import repro
 from repro.engine.faults import FAULT_PLAN_ENV
+from repro.remote.cache_server import BackgroundCacheServer
 
 LEDGER = pathlib.Path(__file__).parent / "golden" / "report_digests.json"
 
@@ -127,3 +129,29 @@ def test_fleet_peer_run_matches_golden_digests(tmp_path, serve_peers):
         and (event["detail"] or {}).get("peer") == url
         for event in events
     )
+
+
+@pytest.mark.slow
+def test_remote_tier_run_matches_golden_digests(tmp_path):
+    # The cold run publishes every entry to a live cache server; the
+    # warm run, on another fresh --cache-dir, is served from it alone.
+    golden = _ledger_entry(TWO_SAMPLE)
+    store = tmp_path / "server"
+    with BackgroundCacheServer(store) as server:
+        for name in ("cold", "warm"):
+            cache = tmp_path / f"{name}-cache"
+            events = _run_events(
+                [*golden["argv"], "--remote-cache", server.url,
+                 "--cache-dir", str(cache)], tmp_path,
+            )
+            assert events[-1]["reports"] == golden["reports"]
+    actions = [event.get("action") for event in events]
+    assert "started" not in actions
+    hits = [event for event in events if event.get("action") == "cache-hit"]
+    assert hits
+    assert {event["detail"]["tier"] for event in hits} == {"remote"}
+    # The back-filled disk tier holds the server's bytes, file for file.
+    backfilled = sorted(cache.iterdir())
+    assert backfilled
+    for path in backfilled:
+        assert path.read_bytes() == (store / path.name).read_bytes()

@@ -13,6 +13,7 @@ peer leaves every report's bits unchanged is a golden-ledger arm
 """
 
 import http.client
+import json
 import os
 import pathlib
 import time
@@ -22,9 +23,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MISS, EvalJob, ExperimentEngine, ResultCache
+from repro.engine.cache import ByteStore
 from repro.engine.faults import PeerUnreachable
-from repro.remote import protocol
-from repro.remote.cache_server import BackgroundCacheServer, ObjectStore
+from repro.remote import cache_server, protocol
+from repro.remote.cache_server import BackgroundCacheServer
 from repro.remote.client import (
     RemoteCacheClient,
     RemoteCacheVerificationError,
@@ -145,38 +147,56 @@ class TestRendezvous:
 
 class TestObjectStore:
     def test_put_get_head_present(self, tmp_path):
-        store = ObjectStore(tmp_path / "store")
+        store = ByteStore(tmp_path / "store")
         job_id = _job().job_id
         assert store.get(job_id) is None
         assert store.head(job_id) is None
         store.put(job_id, b"payload")
         assert store.get(job_id) == b"payload"
         assert store.head(job_id) == len(b"payload")
-        assert store.present([job_id, "f" * 32]) == [job_id]
-        assert store.usage_bytes() == len(b"payload")
+        assert store.head("f" * 32) is None
+        assert store.usage() == len(b"payload")
 
     def test_put_is_idempotent_overwrite(self, tmp_path):
-        store = ObjectStore(tmp_path)
+        store = ByteStore(tmp_path)
         job_id = _job().job_id
         store.put(job_id, b"first")
         store.put(job_id, b"second")
         assert store.get(job_id) == b"second"
-        assert store.usage_bytes() == len(b"second")
+        assert store.usage() == len(b"second")
 
     def test_prunes_least_recently_used(self, tmp_path):
-        store = ObjectStore(tmp_path, max_bytes=250)
+        store = ByteStore(tmp_path, max_bytes=250)
         job_ids = [_job(seed=seed).job_id for seed in range(4)]
         now = time.time()
         for rank, job_id in enumerate(job_ids[:3]):
             store.put(job_id, b"x" * 100)
             # Deterministic LRU order without sleeping.
-            path = store._path(job_id)
+            path = store.path(job_id)
             import os
             os.utime(path, (now + rank, now + rank))
         store.put(job_ids[3], b"x" * 100)  # over cap: evict oldest
         assert store.get(job_ids[0]) is None
         assert store.evictions >= 1
-        assert store.usage_bytes() <= 250
+        assert store.usage() <= 250
+
+
+def _raw(server, method, path):
+    """``(status, body)`` of one raw request against ``server``."""
+    host, port = server.url.split("//")[1].split(":")
+    conn = http.client.HTTPConnection(host, int(port))
+    try:
+        conn.request(method, path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def _healthz(server):
+    status, body = _raw(server, "GET", "/healthz")
+    assert status == 200
+    return json.loads(body)
 
 
 class TestCacheServer:
@@ -185,12 +205,18 @@ class TestCacheServer:
             client = RemoteCacheClient(server.url)
             job_id = _job().job_id
             data = protocol.encode_payload({"accuracy": 61.2})
-            assert client.healthy()
+            health = _healthz(server)
+            assert health["ok"] is True
+            assert health["objects"] == 0
             assert client.get(job_id) is None
-            assert not client.head(job_id)
+            assert _raw(server, "HEAD", f"/cache/{job_id}")[0] == 404
             assert client.put(job_id, data)
-            assert client.head(job_id)
+            assert _raw(server, "HEAD", f"/cache/{job_id}")[0] == 200
             assert client.get(job_id) == data
+            health = _healthz(server)
+            assert health["ok"] is True
+            assert health["objects"] == 1
+            assert health["bytes"] == len(data)
             assert client.manifest([job_id, "f" * 32]) == {job_id}
 
     def test_rejects_corrupt_upload_and_bad_ids(self, tmp_path):
@@ -215,9 +241,16 @@ class TestCacheServer:
             finally:
                 conn.close()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_max_mb_must_be_finite_and_nonnegative(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cache_server.main(["--max-mb", value])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_client_verifies_fetched_digest(self, tmp_path):
         client = RemoteCacheClient("http://127.0.0.1:9")
-        client._request = lambda *a, **k: (  # type: ignore[assignment]
+        client.request = lambda *a, **k: (  # type: ignore[assignment]
             200, {protocol.DIGEST_HEADER: "0" * 64}, b"tampered"
         )
         with pytest.raises(RemoteCacheVerificationError):
@@ -235,7 +268,6 @@ class TestCacheServer:
         assert client.get(job_id) is None
         assert not client.put(job_id, b"data")
         assert client.manifest([job_id]) is None
-        assert not client.healthy()
         # Three consecutive failures mark the server down; further
         # calls skip the network entirely during the cooldown.
         assert not client.available()
@@ -364,7 +396,6 @@ class TestFleetDispatch:
         client = PeerClient(DEAD_PEER, execute_timeout=0.5)
         with pytest.raises(PeerUnreachable):
             client.execute([_job()])
-        assert not client.healthy()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_degrades_to_local_when_peer_is_dead(self, workers):
